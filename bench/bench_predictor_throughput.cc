@@ -18,17 +18,15 @@
  *    timed region, the batched SoA replay alone timed -- the tracked
  *    headline number);
  *  - a parallel sweep of the whole 40-cell grid via harness::runSweep
- *    with --threads N workers;
- *  - a streaming cell: a large synthetic access stream
- *    (forge::SynthSource, --stream-blocks blocks) lowered to
- *    coherence messages on the fly (forge::CoherenceMessageStream)
- *    and replayed in constant memory through replay::replayStream
- *    with --stream-shards predictor shards. End-to-end time
- *    (generation + lowering + replay) is reported; the stream never
- *    materializes, so --stream-messages can exceed RAM.
+ *    with --threads N workers.
+ *
+ * Every message replayed here comes from the verified protocol: the
+ * five traces are simulated on proto::Machine. End-to-end throughput
+ * of the machine itself (including the forge workloads) is measured
+ * by perfbench/run.py, not here.
  *
  * Results are written as JSON (default BENCH_predictor_throughput.json,
- * schema cosmos-bench-predictor-v2, validated by scripts/check_json.py
+ * schema cosmos-bench-predictor-v3, validated by scripts/check_json.py
  * --schema bench) so successive CI runs can be compared.
  *
  * --dump-goldens replays the grid and prints fixture rows instead;
@@ -39,18 +37,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "cosmos/predictor_bank.hh"
 #include "fixtures/golden_accuracy.hh"
-#include "forge/msg_stream.hh"
-#include "forge/synth.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
-#include "replay/stream.hh"
+#include "replay/thread_pool.hh"
 
 namespace
 {
@@ -139,9 +134,6 @@ main(int argc, char **argv)
     double min_seconds = 1.0;
     std::string out_path = "BENCH_predictor_throughput.json";
     bool dump_goldens = false;
-    std::uint64_t stream_messages = 4'000'000;
-    unsigned stream_blocks = 1u << 20;
-    unsigned stream_shards = 0; // 0 = one per worker thread
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -151,24 +143,13 @@ main(int argc, char **argv)
             min_seconds = std::atof(argv[++i]);
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-        } else if (arg == "--stream-messages" && i + 1 < argc) {
-            stream_messages = std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--stream-blocks" && i + 1 < argc) {
-            stream_blocks =
-                static_cast<unsigned>(std::strtoul(argv[++i],
-                                                   nullptr, 0));
-        } else if (arg == "--stream-shards" && i + 1 < argc) {
-            stream_shards =
-                static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (arg == "--dump-goldens") {
             dump_goldens = true;
         } else {
             std::fprintf(
                 stderr,
                 "usage: %s [--threads N] [--min-seconds S] "
-                "[--out PATH] [--stream-messages N] "
-                "[--stream-blocks N] [--stream-shards K] "
-                "[--dump-goldens]\n",
+                "[--out PATH] [--dump-goldens]\n",
                 argv[0]);
             return 2;
         }
@@ -208,7 +189,7 @@ main(int argc, char **argv)
     // Phase 1: golden gate, twice. The sweep engine replays batched,
     // so the first pass gates the batched pipeline; the second forces
     // every cell onto 4 block shards and gates the sharded merge.
-    auto start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     const auto results = harness::runSweep(jobs, {.threads = threads});
     const double sweep_s = secondsSince(start);
     if (!checkGrid(results, "batched sweep"))
@@ -227,7 +208,7 @@ main(int argc, char **argv)
     // stays comparable across runs. "batched" times the batched SoA
     // replay alone: the census, table reservation, and construction
     // happen outside the timed region, which is exactly how the
-    // sweep engine and streaming replay run it.
+    // sweep engine runs it.
     const auto &dsmc = harness::cachedTrace("dsmc");
     const auto dsmc_census = trace::moduleBlockCensus(dsmc);
     const pred::BatchConfig batch_cfg{};
@@ -284,46 +265,7 @@ main(int argc, char **argv)
                 jobs.size(), grid_messages, sweep_s, resolved_threads,
                 resolved_threads == 1 ? "" : "s", sweep_mps / 1e6);
 
-    // Phase 3: streaming cell. A --stream-blocks-block synthetic
-    // stream is lowered to messages on the fly and replayed in
-    // constant memory; the timed region is end-to-end (generation +
-    // lowering + routing + replay), one pass -- streams don't rewind.
-    forge::ForgeParams fp;
-    fp.blocks = stream_blocks;
-    forge::SynthSource synth(fp);
-    forge::MsgStreamConfig mcfg;
-    mcfg.blockBytes = fp.blockBytes;
-    mcfg.pageBytes = fp.pageBytes;
-    mcfg.accessesPerIteration = synth.accessesPerRound();
-    mcfg.maxRecords = stream_messages;
-    forge::CoherenceMessageStream stream(synth, mcfg);
-
-    replay::ThreadPool pool(threads);
-    replay::StreamConfig scfg;
-    scfg.shards = stream_shards != 0
-                      ? stream_shards
-                      : static_cast<unsigned>(pool.size());
-    scfg.batch = batch_cfg;
-    replay::StreamStats sstats;
-    start = std::chrono::steady_clock::now();
-    const auto stream_res = replay::replayStream(
-        stream, pred::CosmosConfig{1, 0}, scfg, pool, &sstats);
-    const double stream_s = secondsSince(start);
-    const double stream_mps =
-        stream_s > 0.0
-            ? static_cast<double>(sstats.records) / stream_s
-            : 0.0;
-    std::printf("stream: %llu messages (%u blocks, %llu accesses, "
-                "%llu chunks, %u shard%s) in %.3f s -> %.2f M msg/s, "
-                "overall accuracy %.1f%%\n",
-                (unsigned long long)sstats.records, stream_blocks,
-                (unsigned long long)stream.accesses(),
-                (unsigned long long)sstats.chunks, scfg.shards,
-                scfg.shards == 1 ? "" : "s", stream_s,
-                stream_mps / 1e6,
-                stream_res.accuracy.overall().percent());
-
-    // Phase 4: JSON for CI tracking.
+    // Phase 3: JSON for CI tracking.
     std::FILE *f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "FAILED: cannot write %s\n",
@@ -331,7 +273,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"predictor_throughput\",\n");
-    std::fprintf(f, "  \"schema\": \"cosmos-bench-predictor-v2\",\n");
+    std::fprintf(f, "  \"schema\": \"cosmos-bench-predictor-v3\",\n");
     std::fprintf(f, "  \"goldens\": \"pass\",\n");
     std::fprintf(f, "  \"golden_cells\": %zu,\n", jobs.size());
     std::fprintf(f,
@@ -359,22 +301,6 @@ main(int argc, char **argv)
     std::fprintf(f, "    \"messages\": %zu,\n", grid_messages);
     std::fprintf(f, "    \"seconds\": %.6f,\n", sweep_s);
     std::fprintf(f, "    \"messages_per_sec\": %.0f\n", sweep_mps);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"stream\": {\n");
-    std::fprintf(f, "    \"blocks\": %u,\n", stream_blocks);
-    std::fprintf(f, "    \"procs\": %u,\n", fp.numProcs);
-    std::fprintf(f, "    \"threads\": %u,\n", resolved_threads);
-    std::fprintf(f, "    \"shards\": %u,\n", scfg.shards);
-    std::fprintf(f, "    \"chunk_records\": %zu,\n",
-                 scfg.chunkRecords);
-    std::fprintf(f, "    \"messages\": %llu,\n",
-                 (unsigned long long)sstats.records);
-    std::fprintf(f, "    \"accesses\": %llu,\n",
-                 (unsigned long long)stream.accesses());
-    std::fprintf(f, "    \"chunks\": %llu,\n",
-                 (unsigned long long)sstats.chunks);
-    std::fprintf(f, "    \"seconds\": %.6f,\n", stream_s);
-    std::fprintf(f, "    \"messages_per_sec\": %.0f\n", stream_mps);
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());

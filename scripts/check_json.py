@@ -36,11 +36,11 @@ Schemas:
                   sharing class whose record counts sum to the
                   message total and whose census agreement never
                   exceeds the blocks seen
-    bench         a cosmos-bench-predictor-v2 document from
+    bench         a cosmos-bench-predictor-v3 document from
                   bench_predictor_throughput: passing goldens, the
                   batch-pipeline tunables, scalar AND batched serial
-                  dsmc cells, and sweep / stream sections that each
-                  carry their thread, shard, and chunk metadata
+                  dsmc cells, and a sweep section carrying its thread
+                  count
     forwarding    a cosmos-bench-forwarding-v1 document from
                   bench_ablation_forwarding: one row per app covering
                   the never/always/predicted cells, each with timing,
@@ -394,15 +394,11 @@ BENCH_CELL_KEYS = {"mode", "depth", "reps", "seconds",
 BENCH_SWEEP_KEYS = {"threads", "cells", "messages", "seconds",
                     "messages_per_sec"}
 
-BENCH_STREAM_KEYS = {"blocks", "procs", "threads", "shards",
-                     "chunk_records", "messages", "accesses",
-                     "chunks", "seconds", "messages_per_sec"}
-
 
 def check_bench(doc):
     if not isinstance(doc, dict):
         return "top level is not an object"
-    if doc.get("schema") != "cosmos-bench-predictor-v2":
+    if doc.get("schema") != "cosmos-bench-predictor-v3":
         return f"unexpected schema field: {doc.get('schema')!r}"
     if doc.get("goldens") != "pass":
         return f"goldens did not pass: {doc.get('goldens')!r}"
@@ -438,18 +434,12 @@ def check_bench(doc):
     if modes != {"scalar", "batched"}:
         return f"serial cells cover modes {sorted(modes)}, " \
                f"need both scalar and batched"
-    for section, keys in (("sweep", BENCH_SWEEP_KEYS),
-                          ("stream", BENCH_STREAM_KEYS)):
-        s = doc.get(section)
-        if not isinstance(s, dict):
-            return f"missing \"{section}\" object"
-        missing = keys - s.keys()
-        if missing:
-            return f"{section} missing keys: {sorted(missing)}"
-    if doc["stream"]["messages"] <= 0:
-        return "stream replayed no messages"
-    if doc["stream"]["shards"] <= 0:
-        return "stream reports no shards"
+    sweep = doc.get("sweep")
+    if not isinstance(sweep, dict):
+        return "missing \"sweep\" object"
+    missing = BENCH_SWEEP_KEYS - sweep.keys()
+    if missing:
+        return f"sweep missing keys: {sorted(missing)}"
     return None
 
 

@@ -30,7 +30,6 @@ for b in build/bench/bench_*; do
         bench_predictor_throughput)
             # Smoke only; the tracked run happens in Release below.
             "$b" --min-seconds 0.05 \
-                 --stream-messages 500000 --stream-blocks 65536 \
                  --out build/BENCH_predictor_throughput.json > /dev/null ;;
         bench_forge)
             "$b" --out build/BENCH_forge.json > /dev/null ;;
@@ -281,19 +280,14 @@ echo "== artifact: artifacts/BENCH_predictor_throughput.json"
 
 # ThreadSanitizer pass over the parallel replay engine: the
 # determinism + ThreadPool + trace-cache concurrency tests must run
-# race-free, and so must the sharded predictor bank's two-phase
-# stageChunk/applyShard pipeline (workers apply disjoint shards of
-# one staged chunk concurrently).
+# race-free.
 # shellcheck disable=SC2046
 cmake -B build-tsan $(gen_for build-tsan) -DCOSMOS_TSAN=ON
-cmake --build build-tsan --target replay_test harness_test batch_test
+cmake --build build-tsan --target replay_test harness_test
 start=$(now_ms)
 ./build-tsan/tests/replay_test
 ./build-tsan/tests/harness_test --gtest_filter='TraceCache.*'
-./build-tsan/tests/batch_test \
-    --gtest_filter='ShardedBank.*:StreamingReplay.*'
-echo "== tsan replay/trace-cache/sharded-bank suites" \
-     "($(($(now_ms) - start)) ms)"
+echo "== tsan replay/trace-cache suites ($(($(now_ms) - start)) ms)"
 
 # AddressSanitizer + UBSan pass over the protocol, checker, and model
 # suites: the model checker snapshots/restores live controllers

@@ -4,7 +4,8 @@
  *
  * Attaches to a proto::Machine's delivery probe and, after every
  * delivered coherence message, verifies the global safety properties
- * of the protocol on the block the message touched:
+ * of the protocol on the block the message touched (the SWMR and
+ * agreement rules are check::checkBlockCoherence, check/coherence.hh):
  *
  *  - single-writer / multiple-reader: at most one read_write copy
  *    machine-wide, and never a read_write copy coexisting with
@@ -77,9 +78,9 @@ class InvariantEngine
 
     /**
      * Full-machine sweep for quiescent points (event queue drained):
-     * SWMR + directory agreement over every known block, message
-     * conservation (no outstanding requests), and liveness (no busy
-     * caches or directory entries).
+     * check::checkCoherence (liveness, SWMR and directory agreement
+     * over every known block) plus message conservation (no request
+     * left unanswered).
      */
     void checkQuiescent();
 
@@ -101,7 +102,7 @@ class InvariantEngine
 
   private:
     void onDelivered(const proto::Msg &m, Tick when);
-    /** SWMR + directory agreement for a single block. */
+    /** Report checkBlockCoherence() on a single block. */
     void checkBlock(Addr block, Tick when);
     void scanPendingWindows(Tick when);
     void report(Violation v);
@@ -121,6 +122,8 @@ class InvariantEngine
 
     std::unordered_map<Addr, Flight> flights_;
     std::vector<Violation> violations_;
+    /** Reused per-delivery output of checkBlockCoherence(). */
+    std::vector<Violation> scratch_;
     std::uint64_t delivered_ = 0;
     std::uint64_t suppressed_ = 0;
 };

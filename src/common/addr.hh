@@ -17,31 +17,6 @@ namespace cosmos
 {
 
 /**
- * Shard index of @p block among @p shards block shards.
- *
- * Deterministic (a fixed splitmix64 finalizer, no process-dependent
- * hashing) so shard layouts are reproducible across runs and builds.
- * Shared by replay::shardByBlock and pred::ShardedPredictorBank --
- * every block-sharded structure in the tree agrees on which shard a
- * block belongs to, which is what makes their per-shard statistics
- * mergeable against each other.
- */
-inline unsigned
-blockShardOf(Addr block, unsigned shards)
-{
-    cosmos_assert(shards > 0, "shard count must be positive");
-    // Block addresses are block-aligned, so the low bits carry no
-    // entropy; mix before reducing.
-    std::uint64_t x = block;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<unsigned>(x % shards);
-}
-
-/**
  * Immutable description of the address-space geometry.
  *
  * Block size and page size must be powers of two; the defaults match

@@ -24,10 +24,6 @@
  * only order any Table 5/6/8 counter depends on -- all counters are
  * bit-identical to an unbatched replay; the golden suite gates on
  * this.
- *
- * The same staged form is the unit of routing for the sharded bank
- * (sharded_bank.hh): a chunk is partitioned once into per-shard SoA
- * buffers, and each shard applies its slice independently.
  */
 
 #ifndef COSMOS_COSMOS_BATCH_HH

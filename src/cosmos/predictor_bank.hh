@@ -83,22 +83,15 @@ class PredictorBank
         const BatchConfig &bc = {});
 
     /**
-     * Feed one contiguous chunk of records through the batched path
-     * (the streaming replay entry; chunks arrive in stream order and
-     * the pointer only needs to live for the call).
+     * Feed one contiguous chunk of records through the batched path.
+     * Chunks arrive in trace order and the pointer only needs to live
+     * for the call. This is the constant-memory entry: pair it with
+     * harness::TrafficConfig::recordSink and an arbitrarily long
+     * machine run never materializes its trace.
      */
     void observeChunk(const trace::TraceRecord *recs, std::size_t n,
                       std::int32_t max_iteration = INT32_MAX,
                       const BatchConfig &bc = {});
-
-    /**
-     * Apply one staged batch module-major (routing layers stage
-     * records into SoA form themselves; see sharded_bank.hh). The
-     * batch is stably partitioned by destination module and each
-     * module's slice runs the probe/apply pipeline consecutively.
-     * Cosmos banks only.
-     */
-    void applyStaged(const SoaBatch &batch, const BatchConfig &bc);
 
     /**
      * Pre-size every predictor's block table from a
@@ -137,6 +130,13 @@ class PredictorBank
 
   private:
     std::size_t index(NodeId n, proto::Role role) const;
+
+    /**
+     * Apply one staged batch module-major: the batch is stably
+     * partitioned by destination module and each module's slice runs
+     * the probe/apply pipeline consecutively. Cosmos banks only.
+     */
+    void applyStaged(const SoaBatch &batch, const BatchConfig &bc);
 
     /**
      * Two-pass probe/apply pipeline over one module's slice of a

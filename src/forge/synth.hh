@@ -134,9 +134,6 @@ class SynthSource : public TrafficSource
      */
     BlockClass labelOfAddr(Addr a) const;
 
-    /** Accesses emitted per full round over all blocks. */
-    std::size_t accessesPerRound() const;
-
     /** Completed rounds so far. */
     unsigned round() const { return round_; }
 

@@ -1,7 +1,6 @@
 #include "harness/accel_runner.hh"
 
 #include "common/log.hh"
-#include "proto/invariants.hh"
 #include "runtime/processor.hh"
 
 namespace cosmos::harness
@@ -47,14 +46,11 @@ runAccelerated(const RunConfig &cfg, wl::Workload &workload,
         runtime::ProgramBuilder builder(machine.numNodes());
         workload.emitIteration(iter, builder);
         rt.runPrograms(builder.take());
-        if (cfg.checkInvariants) {
-            const auto violations = proto::checkCoherence(machine);
-            if (!violations.empty()) {
-                cosmos_panic("coherence violation after iteration ",
-                             iter, " of accelerated ", info.name,
-                             ": ", violations.front());
-            }
-        }
+        if (cfg.checkInvariants)
+            requireCoherent(machine, "iteration " +
+                                         std::to_string(iter) +
+                                         " of accelerated " +
+                                         info.name);
     }
 
     result.run.workloadStats = workload.statsSummary();

@@ -1,7 +1,7 @@
 #include "harness/experiment.hh"
 
+#include "check/coherence.hh"
 #include "common/log.hh"
-#include "proto/invariants.hh"
 #include "proto/machine.hh"
 #include "runtime/processor.hh"
 #include "trace/trace.hh"
@@ -40,6 +40,17 @@ collectTotals(const proto::Machine &machine)
     return t;
 }
 
+void
+requireCoherent(const proto::Machine &machine, const std::string &where)
+{
+    const auto violations = check::checkCoherence(machine);
+    if (!violations.empty()) {
+        cosmos_panic("coherence violation after ", where, ": ",
+                     violations.front().format(), " (",
+                     violations.size(), " total)");
+    }
+}
+
 RunResult
 runWorkload(const RunConfig &cfg, wl::Workload &workload)
 {
@@ -71,15 +82,10 @@ runWorkload(const RunConfig &cfg, wl::Workload &workload)
         runtime::ProgramBuilder builder(machine.numNodes());
         workload.emitIteration(iter, builder);
         rt.runPrograms(builder.take());
-        if (cfg.checkInvariants) {
-            const auto violations = proto::checkCoherence(machine);
-            if (!violations.empty()) {
-                cosmos_panic("coherence violation after iteration ",
-                             iter, " of ", info.name, ": ",
-                             violations.front(), " (",
-                             violations.size(), " total)");
-            }
-        }
+        if (cfg.checkInvariants)
+            requireCoherent(machine, "iteration " +
+                                         std::to_string(iter) +
+                                         " of " + info.name);
     }
 
     result.workloadStats = workload.statsSummary();

@@ -78,6 +78,14 @@ struct RunResult
 /** Sum protocol counters over a machine's caches and directories. */
 ProtocolTotals collectTotals(const proto::Machine &machine);
 
+/**
+ * Panic (a RecoverableError under a FailureTrap) when
+ * check::checkCoherence finds @p machine incoherent. @p where names
+ * the check point in the message, e.g. "iteration 3 of dsmc".
+ */
+void requireCoherent(const proto::Machine &machine,
+                     const std::string &where);
+
 /** Run the named workload (RunConfig::app) on a fresh machine. */
 RunResult runWorkload(const RunConfig &cfg);
 

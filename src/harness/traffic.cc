@@ -1,7 +1,6 @@
 #include "harness/traffic.hh"
 
 #include "common/log.hh"
-#include "proto/invariants.hh"
 #include "proto/machine.hh"
 #include "runtime/processor.hh"
 #include "trace/trace.hh"
@@ -49,15 +48,9 @@ runTraffic(const TrafficConfig &cfg, forge::TrafficSource &source)
         }
         builder.barrier();
         rt.runPrograms(builder.take());
-        if (cfg.checkInvariants) {
-            const auto violations = proto::checkCoherence(machine);
-            if (!violations.empty()) {
-                cosmos_panic("coherence violation after chunk ", iter,
-                             " of ", source.name(), ": ",
-                             violations.front(), " (",
-                             violations.size(), " total)");
-            }
-        }
+        if (cfg.checkInvariants)
+            requireCoherent(machine, "chunk " + std::to_string(iter) +
+                                         " of " + source.name());
         if (cfg.recordSink) {
             cfg.recordSink(result.trace.records);
             result.trace.records.clear();

@@ -15,22 +15,18 @@ NetworkStats::latencyLayout()
 }
 
 void
-NetworkStats::recordRemote(unsigned cls, Tick lat)
+NetworkStats::recordRemote(Tick lat)
 {
     remoteMessages++;
     totalLatency += lat;
     if (latency.bounds().empty())
         latency = latencyLayout();
     latency.record(static_cast<double>(lat));
-    if (latencyByClass.size() <= cls)
-        latencyByClass.resize(cls + 1, latencyLayout());
-    latencyByClass[cls].record(static_cast<double>(lat));
 }
 
 void
 NetworkStats::publishMetrics(obs::Registry &reg,
-                             const std::string &prefix,
-                             const char *(*class_name)(unsigned)) const
+                             const std::string &prefix) const
 {
     reg.counter(prefix + ".remote_messages").add(remoteMessages);
     reg.counter(prefix + ".local_messages").add(localMessages);
@@ -40,15 +36,6 @@ NetworkStats::publishMetrics(obs::Registry &reg,
     inflight.set(inFlight);
     reg.histogram(prefix + ".latency_ticks", latencyLayout())
         .merge(latency);
-    if (class_name != nullptr) {
-        for (unsigned c = 0; c < latencyByClass.size(); ++c) {
-            if (latencyByClass[c].count() == 0)
-                continue;
-            reg.histogram(prefix + ".latency_ticks." + class_name(c),
-                          latencyLayout())
-                .merge(latencyByClass[c]);
-        }
-    }
 }
 
 double

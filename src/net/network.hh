@@ -30,19 +30,6 @@ namespace cosmos::net
 {
 
 /**
- * Customization point mapping a payload to a small traffic-class
- * index for per-class latency histograms. The primary template puts
- * everything in one unnamed class; payload owners (proto specializes
- * this for Msg) provide a real classification.
- */
-template <typename Payload>
-struct TrafficClass
-{
-    static unsigned of(const Payload &) { return 0; }
-    static const char *name(unsigned) { return "all"; }
-};
-
-/**
  * Fixed-latency point-to-point network carrying @p Payload messages.
  *
  * Each destination node attaches one handler; the handler receives the
@@ -107,8 +94,7 @@ class Network
             auto &last = lastArrival_[channelKey(src, dst)];
             arrive = std::max(arrive, last + 1);
             last = arrive;
-            stats_.recordRemote(TrafficClass<Payload>::of(payload),
-                                arrive - eq_.now());
+            stats_.recordRemote(arrive - eq_.now());
         }
         stats_.recordInFlightSend();
         eq_.scheduleAt(arrive,
@@ -120,14 +106,12 @@ class Network
                        });
     }
 
-    /** Publish interconnect metrics under "<prefix>." using the
-     *  payload's TrafficClass names for per-class histograms. */
+    /** Publish interconnect metrics under "<prefix>.". */
     void
     publishMetrics(obs::Registry &reg,
                    const std::string &prefix = "net") const
     {
-        stats_.publishMetrics(reg, prefix,
-                              &TrafficClass<Payload>::name);
+        stats_.publishMetrics(reg, prefix);
     }
 
     const NetworkStats &stats() const { return stats_; }

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -20,11 +19,9 @@ namespace cosmos::net
 /**
  * Counters kept by Network, independent of payload type.
  *
- * Latency histograms bucket end-to-end remote delivery latency in
- * ticks, overall and per traffic class (the payload's TrafficClass
- * specialization names the classes -- for proto::Msg, the message
- * type). Everything here is a pure function of the simulated run, so
- * the published metrics are stable across hosts and thread counts.
+ * The latency histogram buckets end-to-end remote delivery latency
+ * in ticks. Everything here is a pure function of the simulated run,
+ * so the published metrics are stable across hosts and thread counts.
  */
 struct NetworkStats
 {
@@ -32,18 +29,15 @@ struct NetworkStats
     std::uint64_t localMessages = 0;
     Tick totalLatency = 0;
 
-    /** End-to-end remote latency, all classes, in ticks. */
+    /** End-to-end remote latency in ticks. */
     Histogram latency;
-    /** Same, split by traffic class; index = TrafficClass::of(). */
-    std::vector<Histogram> latencyByClass;
 
     /** Messages sent but not yet delivered (local + remote). */
     std::int64_t inFlight = 0;
     std::int64_t maxInFlight = 0;
 
-    /** Record one remote send of class @p cls arriving @p lat ticks
-     *  after issue. */
-    void recordRemote(unsigned cls, Tick lat);
+    /** Record one remote send arriving @p lat ticks after issue. */
+    void recordRemote(Tick lat);
 
     /** Track the send side of the in-flight level. */
     void
@@ -57,14 +51,10 @@ struct NetworkStats
     /** Track the delivery side of the in-flight level. */
     void recordDelivered() { --inFlight; }
 
-    /**
-     * Publish under "<prefix>." (counters, in-flight gauge, latency
-     * histograms). @p class_name maps a class index to its metric
-     * name suffix; null publishes only the overall histogram.
-     */
-    void publishMetrics(obs::Registry &reg, const std::string &prefix,
-                        const char *(*class_name)(unsigned) =
-                            nullptr) const;
+    /** Publish under "<prefix>." (counters, in-flight gauge, latency
+     *  histogram). */
+    void publishMetrics(obs::Registry &reg,
+                        const std::string &prefix) const;
 
     /** Mean end-to-end latency of remote messages, in ticks. */
     double meanLatency() const;

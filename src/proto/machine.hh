@@ -29,29 +29,6 @@
 #include "proto/transition_table.hh"
 #include "sim/event_queue.hh"
 
-namespace cosmos::net
-{
-
-/** Classify coherence messages by type for per-type latency
- *  histograms (net.latency_ticks.<type> metrics). */
-template <>
-struct TrafficClass<proto::Msg>
-{
-    static unsigned
-    of(const proto::Msg &m)
-    {
-        return static_cast<unsigned>(m.type);
-    }
-
-    static const char *
-    name(unsigned c)
-    {
-        return toString(static_cast<proto::MsgType>(c));
-    }
-};
-
-} // namespace cosmos::net
-
 namespace cosmos::proto
 {
 
@@ -96,6 +73,7 @@ class Machine
     Machine &operator=(const Machine &) = delete;
 
     sim::EventQueue &eventQueue() { return eq_; }
+    const sim::EventQueue &eventQueue() const { return eq_; }
     const AddrMap &addrMap() const { return amap_; }
     const MachineConfig &config() const { return cfg_; }
 
@@ -160,8 +138,8 @@ class Machine
 
     /**
      * Publish the whole machine's observability surface into @p reg:
-     * event-queue counters ("sim.*"), interconnect counters and
-     * per-type latency histograms ("net.*"), and protocol activity
+     * event-queue counters ("sim.*"), interconnect counters and the
+     * remote latency histogram ("net.*"), and protocol activity
      * summed over nodes ("proto.*"). Everything published here is a
      * pure function of (configuration, seed).
      */

@@ -1,6 +1,7 @@
 #include "replay/sharding.hh"
 
-#include "common/addr.hh"
+#include <cstdint>
+
 #include "common/log.hh"
 
 namespace cosmos::replay
@@ -9,9 +10,16 @@ namespace cosmos::replay
 unsigned
 shardOfBlock(Addr block, unsigned shards)
 {
-    // One tree-wide mix (common/addr.hh): ShardedPredictorBank must
-    // agree with shardByBlock on every block's shard.
-    return blockShardOf(block, shards);
+    cosmos_assert(shards > 0, "shard count must be positive");
+    // Block addresses are block-aligned, so the low bits carry no
+    // entropy; mix (a splitmix64 finalizer) before reducing.
+    std::uint64_t x = block;
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return static_cast<unsigned>(x % shards);
 }
 
 std::vector<TraceShard>

@@ -34,7 +34,9 @@ struct TraceShard
 /**
  * Shard index of @p block among @p shards shards. Deterministic
  * (a fixed bit mix, no process-dependent hashing) so shard layouts
- * are reproducible across runs and builds.
+ * are reproducible across runs and builds. shardByBlock is the one
+ * block-sharding mechanism in the tree; everything that shards by
+ * block goes through it.
  */
 unsigned shardOfBlock(Addr block, unsigned shards);
 

@@ -1,17 +1,16 @@
 /**
  * @file
- * Tests of the batched/sharded/streaming replay pipeline.
+ * Tests of the batched and chunked replay pipeline.
  *
  * The whole pipeline (cosmos/batch.hh staging, the grouped counting
- * sort, the probe/apply passes, the sharded bank, and the chunked
- * stream replay) claims one property everywhere: every Table 5/6/8
- * counter is *bit-identical* to a plain scalar record-order replay.
- * This suite checks that claim against every axis the pipeline can
- * vary -- predictor configuration, batch tunables (including
- * degenerate ones), iteration prefixes, shard counts, chunk sizes --
- * plus the supporting guarantees: census reservation really prevents
- * rehashes, the traffic record sink matches materialization, and the
- * message-stream lowering is chunking-independent.
+ * sort, the probe/apply passes, and chunked observeChunk replay)
+ * claims one property everywhere: every Table 5/6/8 counter is
+ * *bit-identical* to a plain scalar record-order replay. This suite
+ * checks that claim against every axis the pipeline can vary --
+ * predictor configuration, batch tunables (including degenerate
+ * ones), iteration prefixes, chunk boundaries -- plus the supporting
+ * guarantees: census reservation really prevents rehashes, and the
+ * traffic record sink matches materialization chunk for chunk.
  */
 
 #include <gtest/gtest.h>
@@ -22,15 +21,10 @@
 
 #include "common/flat_map.hh"
 #include "cosmos/predictor_bank.hh"
-#include "cosmos/sharded_bank.hh"
 #include "cosmos/variants.hh"
-#include "forge/msg_stream.hh"
 #include "forge/synth.hh"
 #include "harness/trace_cache.hh"
 #include "harness/traffic.hh"
-#include "replay/stream.hh"
-#include "replay/thread_pool.hh"
-#include "trace/record_source.hh"
 
 namespace cosmos
 {
@@ -40,7 +34,6 @@ namespace
 using pred::BatchConfig;
 using pred::CosmosConfig;
 using pred::PredictorBank;
-using pred::ShardedPredictorBank;
 
 /** Every counter the paper's tables read, flattened for EXPECT_EQ. */
 struct Counters
@@ -66,32 +59,18 @@ arcGridHits(const pred::ArcStats &a)
 }
 
 Counters
-snapshot(const pred::AccuracyTracker &acc,
-         const pred::ArcStats &cache_arcs,
-         const pred::ArcStats &dir_arcs, const pred::MemoryStats &m)
+snapshot(const PredictorBank &bank)
 {
+    const auto &acc = bank.accuracy();
+    const auto &cache_arcs = bank.arcs(proto::Role::cache);
+    const auto &dir_arcs = bank.arcs(proto::Role::directory);
+    const auto m = bank.memoryStats();
     return {acc.cacheSide().hits,     acc.cacheSide().total,
             acc.directorySide().hits, acc.directorySide().total,
             acc.coldMisses(),         cache_arcs.totalRefs(),
             dir_arcs.totalRefs(),
             arcGridHits(cache_arcs) + arcGridHits(dir_arcs),
             m.mhrEntries,             m.phtEntries};
-}
-
-Counters
-snapshot(const PredictorBank &bank)
-{
-    return snapshot(bank.accuracy(), bank.arcs(proto::Role::cache),
-                    bank.arcs(proto::Role::directory),
-                    bank.memoryStats());
-}
-
-Counters
-snapshot(const ShardedPredictorBank &bank)
-{
-    return snapshot(bank.accuracy(), bank.arcs(proto::Role::cache),
-                    bank.arcs(proto::Role::directory),
-                    bank.memoryStats());
 }
 
 Counters
@@ -199,75 +178,6 @@ TEST(BatchedReplay, NonCosmosBankFallsBackBitIdentically)
               scalar.accuracy().coldMisses());
 }
 
-// -------------------------------------------------- sharded bank
-
-TEST(ShardedBank, ShardCountInvariance)
-{
-    const auto &t = harness::cachedTrace("dsmc");
-    const CosmosConfig cfg{.depth = 2};
-    const Counters want = scalarReference(t, cfg);
-
-    for (unsigned shards : {1u, 8u}) {
-        ShardedPredictorBank bank(t.numNodes, cfg, shards);
-        // Feed in bounded chunks, as a stream would.
-        constexpr std::size_t chunk = 10'000;
-        for (std::size_t i = 0; i < t.records.size(); i += chunk) {
-            const std::size_t n =
-                std::min(chunk, t.records.size() - i);
-            bank.observeChunk(t.records.data() + i, n);
-        }
-        EXPECT_EQ(snapshot(bank), want) << "shards=" << shards;
-    }
-}
-
-TEST(ShardedBank, ConcurrentShardApplyMatchesSerial)
-{
-    const auto &t = harness::cachedTrace("dsmc");
-    const CosmosConfig cfg{.depth = 1};
-    constexpr unsigned shards = 4;
-
-    ShardedPredictorBank bank(t.numNodes, cfg, shards);
-    bank.reserveFromCensus(trace::moduleBlockCensus(t));
-    replay::ThreadPool pool(shards);
-    constexpr std::size_t chunk = 50'000;
-    for (std::size_t i = 0; i < t.records.size(); i += chunk) {
-        const std::size_t n = std::min(chunk, t.records.size() - i);
-        bank.stageChunk(t.records.data() + i, n);
-        pool.parallelFor(shards, [&](std::size_t s) {
-            bank.applyShard(static_cast<unsigned>(s));
-        });
-    }
-    EXPECT_EQ(snapshot(bank), scalarReference(t, cfg));
-}
-
-// ---------------------------------------------- streaming replay
-
-TEST(StreamingReplay, ChunkAndShardInvariance)
-{
-    const auto &t = harness::cachedTrace("dsmc");
-    const CosmosConfig cfg{.depth = 2};
-    const Counters want = scalarReference(t, cfg);
-    replay::ThreadPool pool(2);
-
-    for (const std::size_t chunk : {std::size_t{1024},
-                                    std::size_t{1} << 16}) {
-        for (const unsigned shards : {1u, 3u}) {
-            trace::TraceRecordSource src(t);
-            replay::StreamConfig sc;
-            sc.chunkRecords = chunk;
-            sc.shards = shards;
-            replay::StreamStats stats;
-            const auto res =
-                replay::replayStream(src, cfg, sc, pool, &stats);
-            EXPECT_EQ(stats.records, t.records.size());
-            EXPECT_EQ(snapshot(res.accuracy, res.cacheArcs,
-                               res.directoryArcs, res.memory),
-                      want)
-                << "chunk=" << chunk << " shards=" << shards;
-        }
-    }
-}
-
 // ------------------------------------------------ census reserve
 
 TEST(CensusReserve, NoRehashDuringReplay)
@@ -337,9 +247,14 @@ TEST(TrafficSink, ChunkedSinkMatchesMaterializedTrace)
     forge::SynthSource materialized_src(params);
     const auto materialized = runTraffic(cfg, materialized_src);
 
+    // The constant-memory path: every chunk the sink sees goes
+    // straight into a predictor bank and is then dropped.
+    const CosmosConfig pcfg{.depth = 2};
+    PredictorBank chunked(params.numProcs, pcfg);
     std::vector<trace::TraceRecord> sunk;
     cfg.recordSink = [&](const std::vector<trace::TraceRecord> &recs) {
         sunk.insert(sunk.end(), recs.begin(), recs.end());
+        chunked.observeChunk(recs.data(), recs.size());
     };
     forge::SynthSource streamed_src(params);
     const auto streamed = runTraffic(cfg, streamed_src);
@@ -349,83 +264,10 @@ TEST(TrafficSink, ChunkedSinkMatchesMaterializedTrace)
     EXPECT_EQ(sunk, materialized.trace.records);
     EXPECT_EQ(streamed.trace.iterations,
               materialized.trace.iterations);
-}
-
-// -------------------------------------------------- msg stream
-
-TEST(MsgStream, DeterministicAcrossPullChunkSizes)
-{
-    forge::ForgeParams params;
-    params.numProcs = 8;
-    params.blocks = 64;
-
-    forge::MsgStreamConfig mc;
-    mc.maxRecords = 5000;
-
-    const auto pull_all = [&](std::size_t chunk) {
-        forge::SynthSource synth(params);
-        forge::CoherenceMessageStream stream(synth, mc);
-        std::vector<trace::TraceRecord> all, buf;
-        while (stream.next(buf, chunk) != 0)
-            all.insert(all.end(), buf.begin(), buf.end());
-        return all;
-    };
-
-    const auto a = pull_all(7);
-    const auto b = pull_all(4096);
-    EXPECT_EQ(a.size(), mc.maxRecords);
-    EXPECT_EQ(a, b);
-}
-
-TEST(MsgStream, RecordsAreWellFormed)
-{
-    forge::ForgeParams params;
-    params.numProcs = 8;
-    params.blocks = 64;
-    forge::SynthSource synth(params);
-
-    forge::MsgStreamConfig mc;
-    mc.maxRecords = 4000;
-    mc.accessesPerIteration = synth.accessesPerRound();
-    forge::CoherenceMessageStream stream(synth, mc);
-
-    std::vector<trace::TraceRecord> buf;
-    std::uint64_t seen = 0;
-    while (stream.next(buf, 512) != 0) {
-        for (const auto &r : buf) {
-            EXPECT_NE(r.sender, r.receiver);
-            EXPECT_LT(r.receiver, params.numProcs);
-            EXPECT_LT(r.sender, params.numProcs);
-            EXPECT_EQ(r.role, proto::receiverRole(r.type));
-            EXPECT_EQ(r.block % 64, 0u) << "block not aligned";
-            EXPECT_GE(r.iteration, 0);
-        }
-        seen += buf.size();
-    }
-    EXPECT_EQ(seen, mc.maxRecords);
-    EXPECT_EQ(stream.emitted(), mc.maxRecords);
-}
-
-TEST(MsgStream, TrainsThePredictorOnRecurringSharing)
-{
-    // A few hundred rounds over a small block set must produce
-    // learnable per-block message patterns -- if the lowering were
-    // emitting noise (or constant self-traffic), depth-1 Cosmos
-    // accuracy would sit near zero.
-    forge::ForgeParams params;
-    params.numProcs = 8;
-    params.blocks = 64;
-    forge::SynthSource synth(params);
-
-    forge::MsgStreamConfig mc;
-    mc.maxRecords = 100'000;
-    mc.accessesPerIteration = synth.accessesPerRound();
-    forge::CoherenceMessageStream stream(synth, mc);
-
-    replay::ThreadPool pool(1);
-    const auto res = replay::replayStream(
-        stream, CosmosConfig{.depth = 1}, {}, pool);
-    EXPECT_GT(res.accuracy.overall().percent(), 50.0);
+    ASSERT_FALSE(sunk.empty());
+    EXPECT_EQ(snapshot(chunked),
+              scalarReference(materialized.trace, pcfg))
+        << "chunked observeChunk diverged from a whole-trace replay";
 }
 
 } // namespace

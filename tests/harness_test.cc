@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "common/log.hh"
 #include "harness/experiment.hh"
@@ -75,6 +76,31 @@ TEST(ExperimentDeathTest, WarmupBeyondIterationsPanics)
     cfg.iterations = 2;
     cfg.warmupIterations = 5;
     EXPECT_DEATH(runWorkload(cfg), "warm-up");
+}
+
+TEST(Experiment, InvariantCheckReportsTheViolationKind)
+{
+    // A lost invalidation leaves a stale read-only copy beside the
+    // new writer; the between-iterations check must catch it through
+    // check::checkCoherence and name the broken rule.
+    RunConfig cfg;
+    cfg.app = "micro_producer_consumer";
+    cfg.iterations = 4;
+    cfg.checkInvariants = true;
+    cfg.machine.fault.ignoreInvalEvery = 1;
+    std::string what;
+    try {
+        FailureTrap trap;
+        runWorkload(cfg);
+    } catch (const RecoverableError &e) {
+        what = e.what();
+    }
+    ASSERT_FALSE(what.empty()) << "the planted bug went unreported";
+    EXPECT_NE(what.find("coherence violation after iteration"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("writer_and_readers"), std::string::npos)
+        << what;
 }
 
 TEST(Experiment, ForwardingCountersAreDeterministicAndClosed)

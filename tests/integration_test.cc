@@ -9,7 +9,6 @@
 
 #include "cosmos/predictor_bank.hh"
 #include "harness/experiment.hh"
-#include "proto/invariants.hh"
 #include "workloads/micro.hh"
 #include "workloads/workload.hh"
 

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "accel/online.hh"
+#include "check/coherence.hh"
 #include "harness/accel_runner.hh"
-#include "proto/invariants.hh"
 #include "proto/machine.hh"
 #include "workloads/micro.hh"
 
@@ -63,7 +63,7 @@ TEST(Speculation, GrantedReadArrivesExclusive)
     // The subsequent store hits silently: the upgrade is gone.
     access(m, 2, block, true);
     EXPECT_EQ(m.cache(2).stats().storeHits, 1u);
-    EXPECT_TRUE(proto::checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Speculation, UngrantedReadStaysShared)
@@ -98,7 +98,7 @@ TEST(Speculation, GrantAfterOwnerHandOffWorks)
     access(m, 3, block, false);
     EXPECT_EQ(m.cache(3).state(block), LineState::read_write);
     EXPECT_EQ(m.cache(2).state(block), LineState::invalid);
-    EXPECT_TRUE(proto::checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Speculation, MisSpeculationRecoversWithoutRollback)
@@ -118,7 +118,7 @@ TEST(Speculation, MisSpeculationRecoversWithoutRollback)
     access(m, 3, block, false); // other reader: owner invalidated
     EXPECT_EQ(m.cache(2).state(block), LineState::invalid);
     EXPECT_EQ(m.cache(3).state(block), LineState::read_only);
-    EXPECT_TRUE(proto::checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Recall, PullsExclusiveCopyHome)
@@ -133,7 +133,7 @@ TEST(Recall, PullsExclusiveCopyHome)
     EXPECT_EQ(m.directory(1).state(block), DirState::idle);
     EXPECT_EQ(m.cache(2).state(block), LineState::invalid);
     EXPECT_EQ(m.directory(1).stats().recalls, 1u);
-    EXPECT_TRUE(proto::checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 
     // The next read is a plain idle fetch: two remote messages.
     access(m, 3, block, false);

@@ -10,7 +10,7 @@
 #include <functional>
 #include <vector>
 
-#include "proto/invariants.hh"
+#include "check/coherence.hh"
 #include "proto/machine.hh"
 #include "proto/messages.hh"
 
@@ -117,7 +117,7 @@ TEST(Protocol, ColdReadMiss)
     EXPECT_EQ(m.cache(1).state(block), LineState::read_only);
     EXPECT_EQ(m.directory(0).state(block), DirState::shared);
     EXPECT_EQ(m.directory(0).sharers(block), 1u << 1);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, ColdWriteMiss)
@@ -128,7 +128,7 @@ TEST(Protocol, ColdWriteMiss)
     EXPECT_EQ(m.cache(2).state(block), LineState::read_write);
     EXPECT_EQ(m.directory(0).state(block), DirState::exclusive);
     EXPECT_EQ(m.directory(0).owner(block), 2);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, Figure1StoreToRemoteExclusive)
@@ -154,7 +154,7 @@ TEST(Protocol, Figure1StoreToRemoteExclusive)
     EXPECT_EQ(col.seen[1].msg.type, MsgType::inval_rw_request);
     EXPECT_EQ(col.seen[2].msg.type, MsgType::inval_rw_response);
     EXPECT_EQ(col.seen[3].msg.type, MsgType::get_rw_response);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, HalfMigratoryInvalidatesOwnerOnRemoteRead)
@@ -169,7 +169,7 @@ TEST(Protocol, HalfMigratoryInvalidatesOwnerOnRemoteRead)
     EXPECT_EQ(m.cache(1).state(block), LineState::read_only);
     EXPECT_EQ(m.directory(0).state(block), DirState::shared);
     EXPECT_EQ(m.directory(0).sharers(block), 1u << 1);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, DowngradePolicyKeepsOwnerShared)
@@ -190,7 +190,7 @@ TEST(Protocol, DowngradePolicyKeepsOwnerShared)
     const auto at_p2 = col.typesAt(Role::cache, 2);
     ASSERT_FALSE(at_p2.empty());
     EXPECT_EQ(at_p2.back(), MsgType::downgrade_request);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, UpgradeWithNoOtherSharersIsImmediate)
@@ -220,7 +220,7 @@ TEST(Protocol, UpgradeInvalidatesOtherSharers)
     EXPECT_EQ(m.cache(2).state(block), LineState::invalid);
     EXPECT_EQ(m.cache(3).state(block), LineState::invalid);
     EXPECT_EQ(m.directory(0).owner(block), 1);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, RacingUpgradesArePromoted)
@@ -246,7 +246,7 @@ TEST(Protocol, RacingUpgradesArePromoted)
     EXPECT_EQ(m.cache(owner == 1 ? 2 : 1).state(block),
               LineState::invalid);
     EXPECT_GT(m.directory(0).stats().upgradePromotions, 0u);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Protocol, HomeNodeAccessesAreLocalAndUntraced)
@@ -295,7 +295,7 @@ TEST(Protocol, QueuedRequestsServeInArrivalOrder)
     m.eventQueue().run();
     EXPECT_EQ(done, 7);
     EXPECT_EQ(m.directory(0).state(block), DirState::exclusive);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
     EXPECT_GT(m.directory(0).stats().queued, 0u);
 }
 
@@ -338,13 +338,13 @@ TEST(Protocol, ProducerConsumerDirectorySignature)
 TEST(Invariants, DetectNothingOnFreshMachine)
 {
     Machine m(smallMachine());
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Invariants, DetectsAnInjectedDesync)
 {
     // Hand a cache an exclusive copy behind the directory's back: the
-    // checker must notice the cached-but-unknown block.
+    // checker must notice a cached block its idle home never granted.
     Machine m(smallMachine());
     const Addr block = blockHomedAt(m, 0);
     m.cache(2).access(block, true, []() {});
@@ -356,10 +356,11 @@ TEST(Invariants, DetectsAnInjectedDesync)
     m.cache(2).handleMessage(forged);
     // The directory never processed anything (the real request is
     // still in flight), so the machine is incoherent.
-    const auto violations = checkCoherence(m);
-    ASSERT_FALSE(violations.empty());
-    EXPECT_NE(violations.front().find("unknown to its home"),
-              std::string::npos);
+    const auto violations = check::checkCoherence(m);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations.front().kind,
+              check::ViolationKind::directory_mismatch);
+    EXPECT_EQ(violations.front().nodes, std::vector<NodeId>{2});
 }
 
 TEST(Replacement, CapacityEvictsReadOnlyVictims)
@@ -377,7 +378,7 @@ TEST(Replacement, CapacityEvictsReadOnlyVictims)
     });
     EXPECT_EQ(valid, 2u);
     // The dropped sharer is a superset case, not a violation.
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Replacement, StaleInvalIsAcknowledged)
@@ -397,7 +398,7 @@ TEST(Replacement, StaleInvalIsAcknowledged)
     access(m, 2, a, true);
     EXPECT_EQ(m.cache(3).stats().staleInvals, 1u);
     EXPECT_EQ(m.directory(0).owner(a), 2);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Replacement, WriteRefetchAfterDropIsPromoted)
@@ -414,7 +415,7 @@ TEST(Replacement, WriteRefetchAfterDropIsPromoted)
     access(m, 3, a, true);
     EXPECT_EQ(m.cache(3).state(a), LineState::read_write);
     EXPECT_EQ(m.directory(0).owner(a), 3);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Forwarding, WriteMissTakesThreeHops)
@@ -460,7 +461,7 @@ TEST(Forwarding, WriteMissTakesThreeHops)
     }
     EXPECT_TRUE(saw_direct);
     EXPECT_TRUE(saw_ack);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Forwarding, ReadMissUnderHalfMigratory)
@@ -477,7 +478,7 @@ TEST(Forwarding, ReadMissUnderHalfMigratory)
     EXPECT_EQ(m.cache(2).state(block), LineState::invalid);
     EXPECT_EQ(m.directory(0).state(block), DirState::shared);
     EXPECT_EQ(m.directory(0).sharers(block), 1u << 1);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Forwarding, ReadMissUnderDowngradePolicy)
@@ -492,7 +493,7 @@ TEST(Forwarding, ReadMissUnderDowngradePolicy)
     EXPECT_EQ(m.cache(1).state(block), LineState::read_only);
     EXPECT_EQ(m.cache(2).state(block), LineState::read_only);
     EXPECT_EQ(m.directory(0).sharers(block), (1u << 1) | (1u << 2));
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Forwarding, VoluntaryRecallIsNotForwarded)
@@ -506,7 +507,7 @@ TEST(Forwarding, VoluntaryRecallIsNotForwarded)
     m.eventQueue().run();
     EXPECT_EQ(m.directory(0).state(block), DirState::idle);
     EXPECT_EQ(m.cache(2).state(block), LineState::invalid);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 /** Observer that runs a callback at every delivery (probes fire
@@ -554,13 +555,13 @@ TEST(Forwarding, VoluntaryRecallDeniedWhileAwaitingAck)
     EXPECT_TRUE(sawAck);
     EXPECT_TRUE(recallDenied);
     EXPECT_EQ(m.cache(1).state(block), LineState::read_write);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 
     // With the handshake closed the same recall goes through.
     EXPECT_TRUE(m.directory(0).voluntaryRecall(block));
     m.eventQueue().run();
     EXPECT_EQ(m.directory(0).state(block), DirState::idle);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Forwarding, QueuedRequestWaitsForDelayedAck)
@@ -605,7 +606,7 @@ TEST(Forwarding, QueuedRequestWaitsForDelayedAck)
     }
     EXPECT_EQ(acks, 2u);
     EXPECT_LT(firstAck, secondRecall);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Forwarding, QueuedWritersSerializeCorrectly)
@@ -620,7 +621,7 @@ TEST(Forwarding, QueuedWritersSerializeCorrectly)
     m.eventQueue().run();
     EXPECT_EQ(done, 7);
     EXPECT_EQ(m.directory(0).state(block), DirState::exclusive);
-    EXPECT_TRUE(checkCoherence(m).empty());
+    EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
 TEST(Replacement, ExclusiveLinesAreNeverDropped)
