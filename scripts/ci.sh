@@ -289,22 +289,31 @@ start=$(now_ms)
 ./build-tsan/tests/harness_test --gtest_filter='TraceCache.*'
 echo "== tsan replay/trace-cache suites ($(($(now_ms) - start)) ms)"
 
-# AddressSanitizer + UBSan pass over the protocol, checker, and model
-# suites: the model checker snapshots/restores live controllers
-# thousands of times per run, which is exactly where lifetime and
-# aliasing bugs would hide. -fno-sanitize-recover makes any report
-# fatal, so a passing run is a clean run.
+# AddressSanitizer + UBSan pass over the simulator-core, protocol,
+# checker, and model suites: the model checker snapshots/restores live
+# controllers thousands of times per run, EventFn placement-news and
+# destroys captures by hand, and the controllers' open-addressing
+# tables move non-trivial values (DoneFn, directory entries) on every
+# insert and erase -- exactly where lifetime and aliasing bugs would
+# hide. -fno-sanitize-recover makes any report fatal, so a passing run
+# is a clean run.
 # shellcheck disable=SC2046
 cmake -B build-asan $(gen_for build-asan) -DCOSMOS_ASAN=ON
-cmake --build build-asan --target proto_test check_test model_test
+cmake --build build-asan --target sim_test net_test pattern_census_test \
+    proto_test check_test model_test
 start=$(now_ms)
+./build-asan/tests/sim_test
+./build-asan/tests/net_test
+./build-asan/tests/pattern_census_test
 ./build-asan/tests/proto_test
 ./build-asan/tests/check_test
 ./build-asan/tests/model_test
-echo "== asan proto/check/model suites ($(($(now_ms) - start)) ms)"
+echo "== asan sim/net/census/proto/check/model suites" \
+     "($(($(now_ms) - start)) ms)"
 
 # Static lint over the sources that host invariants (src/model,
-# src/check, src/lint, src/proto): clang-tidy reads the compilation
+# src/check, src/lint, src/proto) and the simulator core they run on
+# (src/sim, src/net, the census): clang-tidy reads the compilation
 # database the main build exports. Gated on the tool being installed,
 # but never on its verdict: .clang-tidy sets WarningsAsErrors '*', so
 # when clang-tidy is present ANY surviving diagnostic exits non-zero
@@ -313,8 +322,9 @@ echo "== asan proto/check/model suites ($(($(now_ms) - start)) ms)"
 if command -v clang-tidy > /dev/null 2>&1; then
     start=$(now_ms)
     clang-tidy -p build --quiet \
-        src/model/*.cc src/check/*.cc src/lint/*.cc src/proto/*.cc
-    echo "== clang-tidy model/check/lint/proto" \
+        src/model/*.cc src/check/*.cc src/lint/*.cc src/proto/*.cc \
+        src/sim/*.cc src/net/*.cc src/trace/pattern_census.cc
+    echo "== clang-tidy model/check/lint/proto/sim/net/census" \
          "($(($(now_ms) - start)) ms)"
 else
     echo "== clang-tidy not installed; lint stage skipped"

@@ -1,8 +1,11 @@
 #include "check/coherence.hh"
 
+#include <algorithm>
 #include <bit>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace cosmos::check
 {
@@ -162,21 +165,27 @@ checkCoherence(const proto::Machine &machine)
             out.push_back(std::move(v));
         }
     }
+    // Busy directory entries, reported in ascending block order
+    // (each block has one home, so the order is total) rather than
+    // in the directory tables' unspecified iteration order.
+    std::vector<std::pair<Addr, NodeId>> busy;
     for (NodeId d = 0; d < n; ++d) {
         machine.directory(d).forEachEntry(
             [&](Addr b, proto::DirState, std::uint64_t, NodeId) {
                 blocks.insert(b);
-                if (machine.directory(d).busy(b)) {
-                    Violation v;
-                    v.kind = ViolationKind::liveness;
-                    v.block = b;
-                    v.nodes = {d};
-                    v.when = when;
-                    v.detail = "directory entry still busy at "
-                               "quiescence";
-                    out.push_back(std::move(v));
-                }
+                if (machine.directory(d).busy(b))
+                    busy.emplace_back(b, d);
             });
+    }
+    std::sort(busy.begin(), busy.end());
+    for (const auto &[b, d] : busy) {
+        Violation v;
+        v.kind = ViolationKind::liveness;
+        v.block = b;
+        v.nodes = {d};
+        v.when = when;
+        v.detail = "directory entry still busy at quiescence";
+        out.push_back(std::move(v));
     }
 
     for (Addr b : blocks)

@@ -25,6 +25,10 @@ using Addr = std::uint64_t;
  *  not coherent shared memory; see DESIGN.md §5). */
 using LockId = std::uint32_t;
 
+/** Node-count ceiling: sharer and reader/writer sets are 64-bit
+ *  full-map bitmasks indexed by NodeId. */
+constexpr NodeId max_machine_nodes = 64;
+
 /** Sentinel for "no node". */
 constexpr NodeId invalid_node = static_cast<NodeId>(-1);
 

@@ -34,14 +34,15 @@ CacheController::CacheController(NodeId node, const AddrMap &amap,
 LineState
 CacheController::state(Addr a) const
 {
-    auto it = lines_.find(amap_.blockBase(a));
-    return it == lines_.end() ? LineState::invalid : it->second;
+    const LineState *st = lines_.find(amap_.blockBase(a));
+    return st == nullptr ? LineState::invalid : *st;
 }
 
 void
 CacheController::setState(Addr block, LineState st)
 {
-    const LineState old = state(block);
+    LineState *cur = lines_.find(block);
+    const LineState old = cur == nullptr ? LineState::invalid : *cur;
     const auto counted = [](LineState s) {
         return s == LineState::read_only || s == LineState::read_write;
     };
@@ -51,10 +52,14 @@ CacheController::setState(Addr block, LineState st)
         ++validLines_;
     if (old != st)
         ++stats_.stateEntries[static_cast<std::size_t>(st)];
-    if (st == LineState::invalid)
-        lines_.erase(block);
-    else
-        lines_[block] = st;
+    if (st == LineState::invalid) {
+        if (cur != nullptr)
+            lines_.erase(block);
+    } else if (cur != nullptr) {
+        *cur = st;
+    } else {
+        lines_.insert(block, st);
+    }
 }
 
 void
@@ -64,16 +69,23 @@ CacheController::evictForCapacity(Addr incoming_block)
         validLines_ < cfg_.cacheCapacityBlocks) {
         return;
     }
-    // Drop the first quiescent read-only line that is not the block
-    // being fetched. Read-write lines are never dropped (a clean
-    // victim needs no writeback message). If everything is
-    // read-write the capacity is soft-exceeded.
-    for (const auto &[block, st] : lines_) {
-        if (block != incoming_block && st == LineState::read_only) {
-            setState(block, LineState::invalid);
-            ++stats_.evictions;
-            return;
+    // Drop the lowest-addressed quiescent read-only line that is not
+    // the block being fetched, so the victim depends on the line set
+    // alone and never on the table's layout. Read-write lines are
+    // never dropped (a clean victim needs no writeback message). If
+    // everything is read-write the capacity is soft-exceeded.
+    bool found = false;
+    Addr victim = 0;
+    lines_.forEach([&](Addr block, LineState st) {
+        if (block != incoming_block && st == LineState::read_only &&
+            (!found || block < victim)) {
+            found = true;
+            victim = block;
         }
+    });
+    if (found) {
+        setState(victim, LineState::invalid);
+        ++stats_.evictions;
     }
 }
 
@@ -81,8 +93,7 @@ void
 CacheController::forEachLine(
     const std::function<void(Addr, LineState)> &fn) const
 {
-    for (const auto &[block, st] : lines_)
-        fn(block, st);
+    lines_.forEach([&](Addr block, LineState st) { fn(block, st); });
 }
 
 void
@@ -90,8 +101,9 @@ CacheController::snapshot(CacheSnapshot &out) const
 {
     out.lines.clear();
     out.lines.reserve(lines_.size());
-    for (const auto &[block, st] : lines_)
+    lines_.forEach([&](Addr block, LineState st) {
         out.lines.emplace_back(block, st);
+    });
     std::sort(out.lines.begin(), out.lines.end());
     out.invalResidue = cfg_.fault.ignoreInvalEvery == 0
                            ? 0
@@ -111,11 +123,11 @@ CacheController::restore(const CacheSnapshot &s, DoneFn on_complete)
     for (const auto &[block, st] : s.lines) {
         cosmos_assert(st != LineState::invalid,
                       "snapshot carries an invalid line");
-        lines_[block] = st;
+        lines_.insert(block, st);
         if (st == LineState::read_only || st == LineState::read_write)
             ++validLines_;
         else
-            pending_.emplace(block, on_complete);
+            pending_.insert(block, on_complete);
     }
 }
 
@@ -136,7 +148,7 @@ CacheController::send(MsgType t, NodeId dst, Addr block,
 bool
 CacheController::pendingOn(Addr a) const
 {
-    return pending_.count(amap_.blockBase(a)) != 0;
+    return pending_.find(amap_.blockBase(a)) != nullptr;
 }
 
 void
@@ -168,7 +180,7 @@ CacheController::access(Addr a, bool write, DoneFn done)
         break;
 
       case ActionId::cache_begin_read_miss:
-        pending_.emplace(block, std::move(done));
+        pending_.insert(block, std::move(done));
         ++stats_.readMisses;
         evictForCapacity(block);
         setState(block, LineState::wait_ro);
@@ -176,7 +188,7 @@ CacheController::access(Addr a, bool write, DoneFn done)
         break;
 
       case ActionId::cache_begin_write_miss:
-        pending_.emplace(block, std::move(done));
+        pending_.insert(block, std::move(done));
         ++stats_.writeMisses;
         evictForCapacity(block);
         setState(block, LineState::wait_rw);
@@ -184,7 +196,7 @@ CacheController::access(Addr a, bool write, DoneFn done)
         break;
 
       case ActionId::cache_begin_upgrade:
-        pending_.emplace(block, std::move(done));
+        pending_.insert(block, std::move(done));
         ++stats_.upgrades;
         setState(block, LineState::wait_upg);
         send(MsgType::upgrade_request, home, block);
@@ -200,11 +212,10 @@ void
 CacheController::complete(Addr block, LineState final_state)
 {
     setState(block, final_state);
-    auto it = pending_.find(block);
-    cosmos_assert(it != pending_.end(),
-                  "response with no pending access");
-    DoneFn done = std::move(it->second);
-    pending_.erase(it);
+    DoneFn *slot = pending_.find(block);
+    cosmos_assert(slot != nullptr, "response with no pending access");
+    DoneFn done = std::move(*slot);
+    pending_.erase(block);
     done();
 }
 

@@ -21,10 +21,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
 #include "common/addr.hh"
 #include "common/config.hh"
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "proto/messages.hh"
 #include "proto/transition_table.hh"
@@ -180,6 +180,10 @@ class CacheController
     /** Silently drop a read-only victim to respect the capacity. */
     void evictForCapacity(Addr incoming_block);
 
+    // lines_ and pending_ are open-addressing tables: an insert or
+    // erase may move every entry, so no action may hold a pointer
+    // into either table across an insert or erase of another block.
+
     NodeId node_;
     const AddrMap &amap_;
     const MachineConfig &cfg_;
@@ -187,12 +191,13 @@ class CacheController
     sim::EventQueue &eq_;
     SendFn sendFn_;
 
-    std::unordered_map<Addr, LineState> lines_;
+    /** Non-invalid lines only (absent means invalid). */
+    FlatMap<Addr, LineState> lines_;
     std::size_t validLines_ = 0;
     /** Counts inval_ro_requests for FaultInjection::ignoreInvalEvery. */
     unsigned ignoredInvalTick_ = 0;
     /** Outstanding misses: block -> completion callback (an MSHR). */
-    std::unordered_map<Addr, DoneFn> pending_;
+    FlatMap<Addr, DoneFn> pending_;
     CacheStats stats_;
 };
 

@@ -38,7 +38,7 @@ DirectoryController::DirectoryController(NodeId node, const AddrMap &amap,
     : node_(node), amap_(amap), cfg_(cfg), table_(table), eq_(eq),
       sendFn_(std::move(send))
 {
-    cosmos_assert(cfg.numNodes <= 64,
+    cosmos_assert(cfg.numNodes <= max_machine_nodes,
                   "full-map sharer bitmask supports at most 64 nodes");
 }
 
@@ -64,7 +64,7 @@ DirectoryController::entry(Addr block)
 {
     cosmos_assert(amap_.home(block) == node_, "block 0x", std::hex, block,
                   " is not homed at this directory");
-    return entries_[block];
+    return entries_.obtain(block);
 }
 
 void
@@ -78,29 +78,29 @@ DirectoryController::enter(Entry &e, DirState st)
 DirState
 DirectoryController::state(Addr block) const
 {
-    auto it = entries_.find(block);
-    return it == entries_.end() ? DirState::idle : it->second.state;
+    const Entry *e = entries_.find(block);
+    return e == nullptr ? DirState::idle : e->state;
 }
 
 std::uint64_t
 DirectoryController::sharers(Addr block) const
 {
-    auto it = entries_.find(block);
-    return it == entries_.end() ? 0 : it->second.sharers;
+    const Entry *e = entries_.find(block);
+    return e == nullptr ? 0 : e->sharers;
 }
 
 NodeId
 DirectoryController::owner(Addr block) const
 {
-    auto it = entries_.find(block);
-    return it == entries_.end() ? invalid_node : it->second.owner;
+    const Entry *e = entries_.find(block);
+    return e == nullptr ? invalid_node : e->owner;
 }
 
 bool
 DirectoryController::busy(Addr block) const
 {
-    auto it = entries_.find(block);
-    return it != entries_.end() && it->second.busy;
+    const Entry *e = entries_.find(block);
+    return e != nullptr && e->busy;
 }
 
 void
@@ -108,8 +108,9 @@ DirectoryController::forEachEntry(
     const std::function<void(Addr, DirState, std::uint64_t, NodeId)> &fn)
     const
 {
-    for (const auto &[block, e] : entries_)
+    entries_.forEach([&](Addr block, const Entry &e) {
         fn(block, e.state, e.sharers, e.owner);
+    });
 }
 
 void
@@ -117,12 +118,12 @@ DirectoryController::snapshot(DirectorySnapshot &out) const
 {
     out.entries.clear();
     out.entries.reserve(entries_.size());
-    for (const auto &[block, e] : entries_) {
+    entries_.forEach([&](Addr block, const Entry &e) {
         // Idle quiescent entries are indistinguishable from absent
         // ones (state() and busy() default them); dropping them keeps
         // snapshots of equal states byte-equal.
         if (e.state == DirState::idle && !e.busy)
-            continue;
+            return;
         DirEntrySnapshot s;
         s.block = block;
         s.state = e.state;
@@ -135,9 +136,9 @@ DirectoryController::snapshot(DirectorySnapshot &out) const
         s.fwdData = e.fwdData;
         s.fwdAckPending = e.fwdAckPending;
         s.current = e.current;
-        s.waiting.assign(e.waiting.begin(), e.waiting.end());
+        s.waiting = e.waiting;
         out.entries.push_back(std::move(s));
-    }
+    });
     std::sort(out.entries.begin(), out.entries.end(),
               [](const DirEntrySnapshot &a, const DirEntrySnapshot &b) {
                   return a.block < b.block;
@@ -160,7 +161,7 @@ DirectoryController::restore(const DirectorySnapshot &s)
         e.fwdData = es.fwdData;
         e.fwdAckPending = es.fwdAckPending;
         e.current = es.current;
-        e.waiting.assign(es.waiting.begin(), es.waiting.end());
+        e.waiting = es.waiting;
     }
 }
 
@@ -551,10 +552,10 @@ DirectoryController::serveWrite(Entry &e, const Msg &m,
 bool
 DirectoryController::voluntaryRecall(Addr block)
 {
-    auto it = entries_.find(block);
-    if (it == entries_.end())
+    Entry *found = entries_.find(block);
+    if (found == nullptr)
         return false;
-    Entry &e = it->second;
+    Entry &e = *found;
     if (e.busy || e.state != DirState::exclusive)
         return false;
     e.busy = true;
@@ -579,7 +580,7 @@ DirectoryController::finish(Addr block)
         return;
     }
     Msg next = e.waiting.front();
-    e.waiting.pop_front();
+    e.waiting.erase(e.waiting.begin());
     // Stay busy; serve the queued request after the handler occupancy.
     eq_.scheduleAfter(cfg_.protocolOccupancy,
                       [this, next]() { serve(next); });

@@ -22,12 +22,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/addr.hh"
 #include "common/config.hh"
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "proto/messages.hh"
 #include "proto/transition_table.hh"
@@ -214,7 +214,8 @@ class DirectoryController
         NodeId owner = invalid_node;
 
         bool busy = false;
-        std::deque<Msg> waiting;
+        /// requests queued behind the busy entry, oldest first.
+        std::vector<Msg> waiting;
         Msg current{};
         unsigned pendingAcks = 0;
         /// current is an upgrade from a live sharer (answer with
@@ -232,6 +233,10 @@ class DirectoryController
         bool fwdAckPending = false;
     };
 
+    /** The entry of @p block, created idle on first touch. entries_
+     *  is an open-addressing table: creating an entry may move every
+     *  other one, so an action holding an Entry& must only re-look-up
+     *  its own block, never touch a different one. */
     Entry &entry(Addr block);
     /** The guard-relevant slice of @p e, in the shape the transition
      *  table's guard predicates are declared over. The model stepper
@@ -277,7 +282,7 @@ class DirectoryController
     sim::EventQueue &eq_;
     SendFn sendFn_;
 
-    std::unordered_map<Addr, Entry> entries_;
+    FlatMap<Addr, Entry> entries_;
     DirectoryStats stats_;
     DirectorySpeculation *speculation_ = nullptr;
 };

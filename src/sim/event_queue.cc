@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hh"
@@ -13,7 +14,18 @@ EventQueue::scheduleAt(Tick when, EventFn fn)
 {
     cosmos_assert(when >= now_, "scheduling into the past: when=", when,
                   " now=", now_);
-    heap_.push(Entry{when, nextSeq_++, std::move(fn)});
+    cosmos_assert(static_cast<bool>(fn), "scheduling an empty event");
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(std::move(fn));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(fn);
+    }
+    heap_.push_back(Key{when, nextSeq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), later);
     if (heap_.size() > maxPending_)
         maxPending_ = heap_.size();
 }
@@ -27,7 +39,9 @@ EventQueue::scheduleAfter(Tick delay, EventFn fn)
 void
 EventQueue::reserve(std::size_t n)
 {
-    heap_.c.reserve(n);
+    heap_.reserve(n);
+    slots_.reserve(n);
+    freeSlots_.reserve(n);
 }
 
 bool
@@ -35,13 +49,14 @@ EventQueue::runOne()
 {
     if (heap_.empty())
         return false;
-    // top() is const&, but moving the callback out is safe: the
-    // comparator orders on (when, seq) only, and pop() runs before
-    // anything can observe the moved-from fn.
-    Entry &top = const_cast<Entry &>(heap_.top());
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Key top = heap_.back();
+    heap_.pop_back();
     now_ = top.when;
-    EventFn fn = std::move(top.fn);
-    heap_.pop();
+    // Move the callback out and free its slot first: the handler may
+    // schedule more events, which can reuse the slot or grow the slab.
+    EventFn fn = std::move(slots_[top.slot]);
+    freeSlots_.push_back(top.slot);
     ++executed_;
     fn();
     return true;

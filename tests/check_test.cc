@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "check/coherence.hh"
 #include "check/fuzzer.hh"
 #include "check/invariant_engine.hh"
 #include "common/log.hh"
@@ -119,6 +120,36 @@ TEST(Violation, KindNamesRoundTrip)
 
 // ---------------------------------------------------------------------
 // Invariant engine on a healthy machine
+
+TEST(CheckCoherence, BusyEntriesReportInAscendingBlockOrder)
+{
+    // Three entries left busy at quiescence, at two homes. Directory
+    // order would report 5p (home 1) first; block order is 2p, 5p, 6p.
+    proto::Machine m(smallConfig());
+    const Addr page = m.addrMap().pageBytes();
+    proto::MachineSnapshot snap;
+    m.snapshot(snap);
+    for (const Addr block : {6 * page, 2 * page, 5 * page}) {
+        proto::DirEntrySnapshot e;
+        e.block = block;
+        e.busy = true;
+        e.current.type = proto::MsgType::get_ro_request;
+        e.current.block = block;
+        e.current.src = 0;
+        snap.directories[m.addrMap().home(block)].entries.push_back(e);
+    }
+    m.restore(snap);
+
+    std::vector<Addr> busy;
+    for (const auto &v : check::checkCoherence(m)) {
+        if (v.kind == check::ViolationKind::liveness) {
+            busy.push_back(v.block);
+            EXPECT_EQ(v.nodes,
+                      std::vector<NodeId>{m.addrMap().home(v.block)});
+        }
+    }
+    EXPECT_EQ(busy, (std::vector<Addr>{2 * page, 5 * page, 6 * page}));
+}
 
 TEST(InvariantEngine, CleanOnHealthyContendedRun)
 {

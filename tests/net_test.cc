@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hh"
@@ -108,6 +109,59 @@ TEST(NetworkDeathTest, BadNodePanics)
 {
     Fixture f;
     EXPECT_DEATH(f.net.send(0, 9, "x"), "bad nodes");
+}
+
+TEST(Network, SixtyFourNodeChannelsStayFifoAndIndependent)
+{
+    // The highest-numbered channels of a full 64-node table, in both
+    // directions: each stays FIFO, and neither serializes the other.
+    sim::EventQueue eq;
+    Network<std::string> net{eq, 64, /*wire=*/40, /*ni=*/60};
+    std::vector<std::vector<Delivery>> got(64);
+    for (NodeId n = 0; n < 64; ++n) {
+        net.attach(n, [&got, &eq, n](const std::string &p, bool local) {
+            got[n].push_back({p, local, eq.now()});
+        });
+    }
+    for (int i = 0; i < 10; ++i) {
+        net.send(63, 62, "down" + std::to_string(i));
+        net.send(62, 63, "up" + std::to_string(i));
+    }
+    eq.run();
+    ASSERT_EQ(got[62].size(), 10u);
+    ASSERT_EQ(got[63].size(), 10u);
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(got[62][i].payload, "down" + std::to_string(i));
+        EXPECT_EQ(got[63][i].payload, "up" + std::to_string(i));
+        // Independent channels: the two directions advance in step,
+        // one tick apart per back-to-back send.
+        EXPECT_EQ(got[62][i].when, 160u + static_cast<Tick>(i));
+        EXPECT_EQ(got[63][i].when, got[62][i].when);
+    }
+}
+
+TEST(Network, JitteredSendsClampToLastArrivalPlusOne)
+{
+    sim::EventQueue eq;
+    Network<std::string> net{eq, 64, /*wire=*/40, /*ni=*/60};
+    std::vector<Delivery> got;
+    net.attach(62, [&](const std::string &p, bool local) {
+        got.push_back({p, local, eq.now()});
+    });
+    // The first send is delayed 500 ticks; the second, undelayed,
+    // must still queue behind it on the 63->62 channel.
+    Tick extra = 500;
+    net.setDeliveryJitter([&](NodeId, NodeId, const std::string &) {
+        return std::exchange(extra, 0);
+    });
+    net.send(63, 62, "slow");
+    net.send(63, 62, "fast");
+    eq.run();
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].payload, "slow");
+    EXPECT_EQ(got[0].when, 660u);
+    EXPECT_EQ(got[1].payload, "fast");
+    EXPECT_EQ(got[1].when, 661u);
 }
 
 } // namespace

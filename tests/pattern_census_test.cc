@@ -114,6 +114,94 @@ TEST(PatternCensus, MultiWriterBlock)
               1u);
 }
 
+TEST(PatternCensus, NodeSixtyThreeAsWriterAndAsReader)
+{
+    // The top bit of the 64-node reader/writer masks.
+    Trace t;
+    for (int round = 0; round < 6; ++round) {
+        // Block 0: node 63 produces, node 0 consumes.
+        append(t, 0, 63, MsgType::get_rw_request);
+        append(t, 0, 0, MsgType::get_ro_request);
+        // Block 64: node 0 produces, node 63 consumes.
+        append(t, 64, 0, MsgType::get_rw_request);
+        append(t, 64, 63, MsgType::get_ro_request);
+        // Block 128: node 63 is the only writer *and* the only
+        // reader, so there is no external reader.
+        append(t, 128, 63, MsgType::get_rw_request);
+        append(t, 128, 63, MsgType::get_ro_request);
+        // Block 192: ownership migrates between nodes 62 and 63.
+        const NodeId node = static_cast<NodeId>(62 + round % 2);
+        append(t, 192, node, MsgType::get_ro_request);
+        append(t, 192, node, MsgType::upgrade_request);
+    }
+    const auto blocks = classifyBlocks(t);
+    ASSERT_EQ(blocks.size(), 4u);
+    EXPECT_EQ(blocks.at(0), SharingPattern::producer_consumer);
+    EXPECT_EQ(blocks.at(64), SharingPattern::producer_consumer);
+    EXPECT_EQ(blocks.at(128), SharingPattern::multi_writer);
+    EXPECT_EQ(blocks.at(192), SharingPattern::migratory);
+}
+
+TEST(PatternCensus, ClassifyBlocksIsSortedAndAgreesWithClassifyTrace)
+{
+    // Blocks first seen in descending address order, one pattern
+    // class per residue, so the per-block map has to be re-sorted.
+    Trace t;
+    for (int round = 0; round < 8; ++round) {
+        for (int b = 199; b >= 0; --b) {
+            const Addr block = static_cast<Addr>(b) * 64;
+            const NodeId node = static_cast<NodeId>(b % 16);
+            switch (b % 4) {
+              case 0: // read-only
+                append(t, block, node, MsgType::get_ro_request);
+                break;
+              case 1: // producer-consumer
+                append(t, block, node, MsgType::get_rw_request);
+                append(t, block, static_cast<NodeId>(node + 1),
+                       MsgType::get_ro_request);
+                break;
+              case 2: // multi-writer
+                append(t, block,
+                       static_cast<NodeId>(node + round % 2),
+                       MsgType::get_rw_request);
+                break;
+              default: // rarely touched
+                if (round == 0)
+                    append(t, block, node, MsgType::get_ro_request);
+                break;
+            }
+        }
+    }
+    const auto blocks = classifyBlocks(t);
+    const auto census = classifyTrace(t);
+    ASSERT_EQ(blocks.size(), 200u);
+    EXPECT_EQ(census.totalBlocks, 200u);
+    std::uint64_t counts[num_sharing_patterns] = {};
+    Addr prev = 0;
+    bool first = true;
+    for (const auto &[block, pattern] : blocks) {
+        EXPECT_TRUE(first || block > prev);
+        first = false;
+        prev = block;
+        ++counts[static_cast<unsigned>(pattern)];
+    }
+    for (unsigned p = 0; p < num_sharing_patterns; ++p)
+        EXPECT_EQ(counts[p], census.blocks[p]) << toString(
+            static_cast<SharingPattern>(p));
+    EXPECT_EQ(census.blocks[static_cast<unsigned>(
+                  SharingPattern::read_only)],
+              50u);
+    EXPECT_EQ(census.blocks[static_cast<unsigned>(
+                  SharingPattern::producer_consumer)],
+              50u);
+    EXPECT_EQ(census.blocks[static_cast<unsigned>(
+                  SharingPattern::multi_writer)],
+              50u);
+    EXPECT_EQ(census.blocks[static_cast<unsigned>(
+                  SharingPattern::rarely_touched)],
+              50u);
+}
+
 TEST(PatternCensus, CacheSideRecordsAreIgnored)
 {
     Trace t;

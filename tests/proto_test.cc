@@ -381,6 +381,33 @@ TEST(Replacement, CapacityEvictsReadOnlyVictims)
     EXPECT_TRUE(check::checkCoherence(m).empty());
 }
 
+TEST(Replacement, VictimIsLowestAddressedReadOnlyLine)
+{
+    auto cfg = smallMachine();
+    cfg.cacheCapacityBlocks = 3;
+    Machine m(cfg);
+    const Addr base = blockHomedAt(m, 0);
+    const auto blk = [&](int i) { return base + i * cfg.blockBytes; };
+    access(m, 3, blk(0), true); // lowest, but read-write: never dropped
+    access(m, 3, blk(5), false);
+    access(m, 3, blk(2), false);
+    // Full: fetching block 4 drops block 2, the lowest read-only
+    // line, whatever order the lines were fetched or stored in.
+    access(m, 3, blk(4), false);
+    EXPECT_EQ(m.cache(3).state(blk(2)), LineState::invalid);
+    EXPECT_EQ(m.cache(3).state(blk(4)), LineState::read_only);
+    EXPECT_EQ(m.cache(3).state(blk(5)), LineState::read_only);
+    // Block 1 is lower than both survivors but is the incoming block;
+    // the victim is block 4.
+    access(m, 3, blk(1), false);
+    EXPECT_EQ(m.cache(3).state(blk(4)), LineState::invalid);
+    EXPECT_EQ(m.cache(3).state(blk(1)), LineState::read_only);
+    EXPECT_EQ(m.cache(3).state(blk(5)), LineState::read_only);
+    EXPECT_EQ(m.cache(3).state(blk(0)), LineState::read_write);
+    EXPECT_EQ(m.cache(3).stats().evictions, 2u);
+    EXPECT_TRUE(check::checkCoherence(m).empty());
+}
+
 TEST(Replacement, StaleInvalIsAcknowledged)
 {
     auto cfg = smallMachine();

@@ -1,11 +1,16 @@
 /**
  * @file
  * Unit tests of the discrete-event engine: ordering, tie-breaking,
- * time monotonicity, nested scheduling, and bounded runs.
+ * time monotonicity, nested scheduling, bounded runs, and the
+ * lifetime of the inline EventFn captures.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -159,6 +164,98 @@ TEST(EventQueue, HandlerMaySchedulePastItsOwnPop)
     EXPECT_EQ(eq.pending(), 64u);
     eq.run();
     EXPECT_EQ(eq.executed(), 65u);
+}
+
+TEST(EventFn, MoveOnlyCaptureFires)
+{
+    EventQueue eq;
+    int seen = 0;
+    auto box = std::make_unique<int>(42);
+    eq.scheduleAt(3, [&seen, box = std::move(box)]() { seen = *box; });
+    eq.run();
+    EXPECT_EQ(seen, 42);
+}
+
+TEST(EventFn, SharedCaptureReleasedOnceAfterFiring)
+{
+    auto token = std::make_shared<int>(7);
+    {
+        EventQueue eq;
+        int fired = 0;
+        eq.scheduleAt(1, [&fired, token]() { fired += *token; });
+        eq.scheduleAt(2, [&fired, token]() { fired += *token; });
+        EXPECT_EQ(token.use_count(), 3);
+        EXPECT_TRUE(eq.runOne());
+        // The fired callback's copy is gone; the pending one is not.
+        EXPECT_EQ(fired, 7);
+        EXPECT_EQ(token.use_count(), 2);
+        // Reusing the freed slot must not disturb the pending copy.
+        eq.scheduleAt(5, [token]() {});
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    // Destroying the queue releases every still-pending capture.
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventFn, MoveTransfersOwnership)
+{
+    auto token = std::make_shared<int>(1);
+    EventFn a([token]() {});
+    EXPECT_EQ(token.use_count(), 2);
+    EventFn b(std::move(a));
+    EXPECT_FALSE(a); // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(b);
+    EXPECT_EQ(token.use_count(), 2);
+    EventFn c;
+    c = std::move(b);
+    EXPECT_EQ(token.use_count(), 2);
+    c = EventFn([]() {});
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, RandomScheduleMatchesStableSortReference)
+{
+    // 100k events at random ticks, scheduled in waves from inside
+    // handlers so freed slots are reused, must fire exactly in
+    // (when, seq) order -- the order a stable sort by tick gives.
+    EventQueue eq;
+    std::mt19937_64 rng(0xC05305);
+    struct Planned
+    {
+        Tick when;
+        std::uint64_t seq;
+    };
+    std::vector<Planned> planned;
+    std::vector<std::uint64_t> fired;
+    constexpr std::uint64_t total = 100000;
+    std::uint64_t seq = 0;
+
+    auto scheduleWave = [&](std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n && seq < total; ++i, ++seq) {
+            const Tick when = eq.now() + rng() % 64;
+            planned.push_back({when, seq});
+            eq.scheduleAt(when, [&fired, s = seq]() {
+                fired.push_back(s);
+            });
+        }
+    };
+    scheduleWave(1000);
+    std::uint64_t steps = 0;
+    while (eq.runOne()) {
+        if (++steps % 100 == 0)
+            scheduleWave(100);
+    }
+    ASSERT_EQ(planned.size(), total);
+    ASSERT_EQ(fired.size(), total);
+
+    // Events scheduled later never fire before `now`, so sorting by
+    // tick alone (stable: ties keep schedule order) is the reference.
+    std::stable_sort(planned.begin(), planned.end(),
+                     [](const Planned &a, const Planned &b) {
+                         return a.when < b.when;
+                     });
+    for (std::uint64_t i = 0; i < total; ++i)
+        ASSERT_EQ(fired[i], planned[i].seq) << "position " << i;
 }
 
 } // namespace
