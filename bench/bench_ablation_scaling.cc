@@ -18,6 +18,7 @@
 #include "bench_util.hh"
 #include "common/table.hh"
 #include "harness/experiment.hh"
+#include "replay/parallel_for.hh"
 #include "replay/sweep.hh"
 #include "workloads/appbt.hh"
 #include "workloads/barnes.hh"
@@ -83,15 +84,15 @@ main()
         "(cache / directory / overall)");
 
     // Each (app, machine size) cell simulates its own scaled
-    // workload, so the cells -- not just the replays -- run as pool
-    // tasks; results land by index, keeping the output order fixed.
+    // workload, so the cells -- not just the replays -- run as
+    // parallelFor indices; results land by index, keeping the output
+    // order fixed.
     const NodeId sizes[] = {NodeId{4}, NodeId{16}, NodeId{64}};
     const std::size_t cells = bench::apps.size() * std::size(sizes);
     std::vector<std::string> cellText(cells);
 
-    replay::ThreadPool pool;
-    replay::SweepEngine engine(pool);
-    pool.parallelFor(cells, [&](std::size_t i) {
+    const unsigned threads = replay::defaultThreadCount();
+    replay::parallelFor(threads, cells, [&](std::size_t i) {
         const auto &app = bench::apps[i / std::size(sizes)];
         const NodeId nodes = sizes[i % std::size(sizes)];
         harness::RunConfig cfg;
@@ -102,7 +103,7 @@ main()
 
         replay::ReplayJob job;
         job.config = pred::CosmosConfig{2, 0};
-        const auto res = engine.replayTrace(result.trace, job);
+        const auto res = replay::replayTrace(result.trace, job);
         const auto &acc = res.accuracy;
         cellText[i] = TextTable::num(acc.cacheSide().percent(), 0) +
                       "/" +

@@ -18,7 +18,7 @@
  *    timed region, the batched SoA replay alone timed -- the tracked
  *    headline number);
  *  - a parallel sweep of the whole 40-cell grid via harness::runSweep
- *    with --threads N workers.
+ *    on --threads N threads in total.
  *
  * Every message replayed here comes from the verified protocol: the
  * five traces are simulated on proto::Machine. End-to-end throughput
@@ -45,7 +45,7 @@
 #include "fixtures/golden_accuracy.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
-#include "replay/thread_pool.hh"
+#include "replay/parallel_for.hh"
 
 namespace
 {
@@ -130,7 +130,7 @@ checkGrid(const std::vector<replay::ReplayResult> &results,
 int
 main(int argc, char **argv)
 {
-    unsigned threads = 0; // 0 = ThreadPool default
+    unsigned threads = 0; // 0 = replay::defaultThreadCount()
     double min_seconds = 1.0;
     std::string out_path = "BENCH_predictor_throughput.json";
     bool dump_goldens = false;
@@ -256,7 +256,7 @@ main(int argc, char **argv)
     }
 
     const unsigned resolved_threads =
-        threads != 0 ? threads : replay::ThreadPool::defaultThreadCount();
+        threads != 0 ? threads : replay::defaultThreadCount();
     const double sweep_mps =
         sweep_s > 0.0 ? static_cast<double>(grid_messages) / sweep_s
                       : 0.0;

@@ -8,7 +8,7 @@
  * the same trace, exactly like the paper's offline methodology.
  *
  * The 20 (app x depth) replay cells run through the parallel
- * SweepEngine; a serial replay of the same grid runs first, both are
+ * sweep engine; a serial replay of the same grid runs first, both are
  * timed, and every cell is checked bit-identical (same integer
  * hit/total counts) before the table is printed from the sweep
  * results.
@@ -28,6 +28,7 @@
 #include "cosmos/predictor_bank.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
+#include "replay/parallel_for.hh"
 
 namespace
 {
@@ -97,7 +98,7 @@ main()
     const double serial_s = secondsSince(start);
 
     // Parallel sweep over the same grid, timed.
-    const unsigned threads = replay::ThreadPool::defaultThreadCount();
+    const unsigned threads = replay::defaultThreadCount();
     start = std::chrono::steady_clock::now();
     const auto results = harness::runSweep(jobs, {.threads = threads});
     const double sweep_s = secondsSince(start);

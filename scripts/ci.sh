@@ -50,7 +50,8 @@ done
 # Observability smoke: a sweep must emit a valid, stable metrics
 # document and a loadable Chrome trace-event file. The metrics export
 # contains only stable (thread-count-independent) metrics, so the
-# --threads 1 and --threads 2 documents must be byte-identical.
+# serial (--threads 1: everything on the calling thread) and parallel
+# (--threads 2) documents must be byte-identical.
 mkdir -p artifacts
 ./build/tools/cosmos sweep micro_migratory --threads 2 \
     --metrics-out artifacts/metrics_sweep.json \
@@ -279,15 +280,18 @@ EOF
 echo "== artifact: artifacts/BENCH_predictor_throughput.json"
 
 # ThreadSanitizer pass over the parallel replay engine: the
-# determinism + ThreadPool + trace-cache concurrency tests must run
-# race-free.
+# determinism + parallelFor + trace-cache concurrency tests must run
+# race-free. The MetricsExport tests drive runSweep with sharded cells,
+# i.e. a parallelFor nested inside the sweep's own.
 # shellcheck disable=SC2046
 cmake -B build-tsan $(gen_for build-tsan) -DCOSMOS_TSAN=ON
-cmake --build build-tsan --target replay_test harness_test
+cmake --build build-tsan --target replay_test harness_test obs_test
 start=$(now_ms)
 ./build-tsan/tests/replay_test
 ./build-tsan/tests/harness_test --gtest_filter='TraceCache.*'
-echo "== tsan replay/trace-cache suites ($(($(now_ms) - start)) ms)"
+./build-tsan/tests/obs_test --gtest_filter='MetricsExport.*'
+echo "== tsan replay/trace-cache/metrics-export suites" \
+     "($(($(now_ms) - start)) ms)"
 
 # AddressSanitizer + UBSan pass over the simulator-core, protocol,
 # checker, and model suites: the model checker snapshots/restores live

@@ -4,34 +4,13 @@
 
 #include "common/log.hh"
 #include "harness/trace_cache.hh"
+#include "replay/parallel_for.hh"
 
 namespace cosmos::harness
 {
 
 namespace
 {
-
-void
-publishPoolMetrics(const replay::ThreadPool &pool, obs::Registry &reg)
-{
-    // Task count depends on parallelFor chunking, i.e. on the pool
-    // size -- volatile like the rest of the execution counters.
-    reg.counter("replay.pool.tasks_submitted",
-                obs::Stability::volatile_)
-        .add(pool.tasksSubmitted());
-    const auto stats = pool.workerStats();
-    auto &tasks = reg.summary("replay.pool.worker.tasks_run",
-                              obs::Stability::volatile_);
-    auto &steals = reg.counter("replay.pool.steals",
-                               obs::Stability::volatile_);
-    auto &idles = reg.counter("replay.pool.idle_waits",
-                              obs::Stability::volatile_);
-    for (const auto &w : stats) {
-        tasks.sample(static_cast<double>(w.tasksRun));
-        steals.add(w.steals);
-        idles.add(w.idleWaits);
-    }
-}
 
 std::string
 cellName(const replay::ReplayJob &job)
@@ -54,15 +33,28 @@ std::vector<replay::ReplayResult>
 runSweep(const std::vector<replay::ReplayJob> &jobs,
          const SweepOptions &opts)
 {
-    replay::ThreadPool pool(opts.threads);
-    replay::SweepEngine engine(
-        pool, [](const replay::ReplayJob &job) -> const trace::Trace & {
-            return cachedTrace(job.app, job.iterations, job.policy,
-                               job.seed);
-        });
-    auto results = engine.run(jobs);
-    if (opts.metrics != nullptr)
-        publishPoolMetrics(pool, *opts.metrics);
+    const unsigned threads =
+        opts.threads != 0 ? opts.threads : replay::defaultThreadCount();
+    const replay::TraceProvider fetch =
+        [](const replay::ReplayJob &job) -> const trace::Trace & {
+        return cachedTrace(job.app, job.iterations, job.policy, job.seed);
+    };
+    auto results = replay::runJobs(jobs, fetch, threads);
+    if (opts.metrics != nullptr) {
+        // One task per cell, plus one per shard of a sharded cell.
+        // Shard counts follow the thread count, so this is volatile.
+        std::uint64_t tasks = jobs.size();
+        const unsigned per_cell = replay::cellThreads(threads, jobs.size());
+        for (const auto &job : jobs) {
+            const unsigned shards = replay::shardCount(
+                job, fetch(job).records.size(), per_cell);
+            tasks += shards > 1 ? shards : 0;
+        }
+        opts.metrics
+            ->counter("replay.pool.tasks_submitted",
+                      obs::Stability::volatile_)
+            .add(tasks);
+    }
     return results;
 }
 

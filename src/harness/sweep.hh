@@ -5,7 +5,7 @@
  * runSweep() glues the replay subsystem to the process-wide trace
  * cache: jobs fetch their traces through harness::cachedTrace (so
  * the five simulations run at most once, concurrently on first use)
- * and replay through a replay::SweepEngine. Results are in job
+ * and replay through replay::runJobs. Results are in job
  * order and bit-identical to a serial replay of each cell.
  */
 
@@ -24,22 +24,23 @@ namespace cosmos::harness
 struct SweepOptions
 {
     /**
-     * Worker threads; 0 resolves via COSMOS_THREADS, then
-     * hardware_concurrency (replay::ThreadPool::defaultThreadCount).
+     * Total threads, the calling thread included; 1 runs the sweep
+     * serially on the caller. 0 resolves via COSMOS_THREADS, then
+     * hardware_concurrency (replay::defaultThreadCount).
      */
     unsigned threads = 0;
 
     /**
      * When set, runSweep publishes execution observability here:
-     * pool counters (tasks submitted / run / steals / idle waits),
-     * all tagged volatile -- they depend on the pool size and on
-     * scheduling, never on the simulated results.
+     * replay.pool.tasks_submitted, one task per cell plus one per
+     * shard of a sharded cell, tagged volatile -- it depends on the
+     * thread count, never on the simulated results.
      */
     obs::Registry *metrics = nullptr;
 };
 
 /**
- * Run every job on a fresh thread pool; result i belongs to jobs[i].
+ * Run every job on opts.threads threads; result i belongs to jobs[i].
  * Traces are fetched (simulating on first use) through cachedTrace.
  */
 std::vector<replay::ReplayResult> runSweep(

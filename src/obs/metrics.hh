@@ -6,7 +6,7 @@
  * Four metric kinds cover the simulator's reporting needs:
  *
  *  - Counter    monotonically increasing uint64 (events dispatched,
- *               messages delivered, tasks stolen);
+ *               messages delivered, replay tasks run);
  *  - Gauge      instantaneous int64 level with a high-water mark
  *               (queue depth, messages in flight);
  *  - Histogram  fixed-bucket distribution with percentile queries
@@ -15,7 +15,7 @@
  *               (table load factors) -- common/stats.hh Distribution.
  *
  * Every metric is registered under a dotted name ("net.latency",
- * "replay.pool.steals") and tagged with a Stability class:
+ * "replay.pool.tasks_submitted") and tagged with a Stability class:
  *
  *  - Stability::stable    a pure function of (configuration, seed) --
  *    the same discipline as the replay shard reduction. Stable

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
 #include "cosmos/predictor_bank.hh"
 #include "obs/trace_event.hh"
+#include "replay/parallel_for.hh"
 #include "replay/sharding.hh"
 
 namespace cosmos::replay
@@ -35,48 +35,41 @@ ReplayResult::merge(const ReplayResult &other)
     memory.merge(other.memory);
 }
 
-SweepEngine::SweepEngine(ThreadPool &pool, TraceProvider provider)
-    : pool_(pool), provider_(std::move(provider))
+unsigned
+cellThreads(unsigned threads, std::size_t cells)
 {
+    return static_cast<unsigned>(
+        std::max<std::size_t>(threads / std::max<std::size_t>(cells, 1), 1));
 }
 
-SweepEngine::SweepEngine(ThreadPool &pool) : pool_(pool) {}
+unsigned
+shardCount(const ReplayJob &job, std::size_t records, unsigned threads)
+{
+    if (job.shards != 0)
+        return job.shards;
+    return static_cast<unsigned>(std::min<std::size_t>(
+        records / 65536 + 1, std::max(threads, 1u)));
+}
 
 std::vector<ReplayResult>
-SweepEngine::run(const std::vector<ReplayJob> &jobs)
+runJobs(const std::vector<ReplayJob> &jobs, const TraceProvider &provider,
+        unsigned threads)
 {
-    cosmos_assert(provider_,
-                  "SweepEngine::run requires a trace provider");
-    // When jobs already saturate the workers, shard-splitting each
-    // one only adds bank setup cost; shard within jobs when cells
-    // are scarcer than threads.
-    const unsigned default_shards =
-        jobs.size() >= pool_.size()
-            ? 1
-            : static_cast<unsigned>(
-                  (pool_.size() + jobs.size() - 1) / jobs.size());
-
+    if (threads == 0)
+        threads = defaultThreadCount();
+    const unsigned per_cell = cellThreads(threads, jobs.size());
     std::vector<ReplayResult> results(jobs.size());
-    pool_.parallelFor(jobs.size(), [&](std::size_t i) {
+    parallelFor(threads, jobs.size(), [&](std::size_t i) {
         COSMOS_SPAN_ARGS("replay", "cell", "job", i);
-        const trace::Trace &t = provider_(jobs[i]);
-        results[i] = replayTrace(t, jobs[i], default_shards);
+        results[i] = replayTrace(provider(jobs[i]), jobs[i], per_cell);
     });
     return results;
 }
 
 ReplayResult
-SweepEngine::replayTrace(const trace::Trace &t, const ReplayJob &job,
-                         unsigned default_shards)
+replayTrace(const trace::Trace &t, const ReplayJob &job, unsigned threads)
 {
-    unsigned shards = job.shards != 0 ? job.shards : default_shards;
-    shards = std::max(shards, 1u);
-    // A shard per ~64k records is the break-even floor; below that,
-    // bank construction dominates.
-    const unsigned useful = static_cast<unsigned>(
-        t.records.size() / 65536 + 1);
-    shards = std::min(shards, useful);
-
+    const unsigned shards = shardCount(job, t.records.size(), threads);
     if (shards == 1) {
         COSMOS_SPAN_ARGS("replay", "shard", "records",
                          t.records.size());
@@ -88,7 +81,7 @@ SweepEngine::replayTrace(const trace::Trace &t, const ReplayJob &job,
 
     const auto parts = shardByBlock(t, shards);
     std::vector<ReplayResult> partial(parts.size());
-    pool_.parallelFor(parts.size(), [&](std::size_t s) {
+    parallelFor(threads, parts.size(), [&](std::size_t s) {
         COSMOS_SPAN_ARGS("replay", "shard", "index", s, "records",
                          parts[s].records.size());
         pred::PredictorBank bank(t.numNodes, job.config);

@@ -7,11 +7,11 @@
  * grids). Each cell is independent, and within a cell prediction is
  * per-block, so the engine parallelizes on two axes:
  *
- *  - across ReplayJobs: every grid cell runs as its own pool task;
- *  - within a job: when cells are scarcer than workers, the trace is
+ *  - across ReplayJobs: every grid cell is one parallelFor index;
+ *  - within a job: when cells are scarcer than threads, the trace is
  *    block-sharded (replay/sharding.hh) and the shards replay through
- *    separate PredictorBanks whose statistics are then merged in
- *    shard-index order.
+ *    separate PredictorBanks, on the cell's share of the threads,
+ *    whose statistics are then merged in shard-index order.
  *
  * All statistics are integer counters merged by addition, so sweep
  * results are bit-identical to a serial replay regardless of thread
@@ -21,6 +21,7 @@
 #ifndef COSMOS_REPLAY_SWEEP_HH
 #define COSMOS_REPLAY_SWEEP_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -31,7 +32,6 @@
 #include "cosmos/arc_stats.hh"
 #include "cosmos/cosmos_predictor.hh"
 #include "cosmos/memory_stats.hh"
-#include "replay/thread_pool.hh"
 #include "trace/trace.hh"
 
 namespace cosmos::replay
@@ -74,36 +74,38 @@ struct ReplayResult
 using TraceProvider =
     std::function<const trace::Trace &(const ReplayJob &)>;
 
-/** Runs grids of ReplayJobs on a ThreadPool. */
-class SweepEngine
-{
-  public:
-    /** Engine whose jobs fetch traces through @p provider. */
-    SweepEngine(ThreadPool &pool, TraceProvider provider);
+/**
+ * Threads each cell of a @p cells-cell sweep gets out of @p threads:
+ * threads / cells, and at least one.
+ */
+unsigned cellThreads(unsigned threads, std::size_t cells);
 
-    /** Engine used only via replayTrace() (no trace provider). */
-    explicit SweepEngine(ThreadPool &pool);
+/**
+ * Block shards replayTrace() splits @p job into, over a trace of
+ * @p records records, for a cell with @p threads threads: job.shards
+ * when set, else one per thread but no more than one per ~64k
+ * records (below that, bank construction dominates).
+ */
+unsigned shardCount(const ReplayJob &job, std::size_t records,
+                    unsigned threads);
 
-    /**
-     * Run every job, fetching traces through the provider; result i
-     * corresponds to jobs[i]. Requires a provider.
-     */
-    std::vector<ReplayResult> run(const std::vector<ReplayJob> &jobs);
+/**
+ * Run every job on @p threads threads (0 = defaultThreadCount()),
+ * fetching traces through @p provider; result i belongs to jobs[i].
+ * A cell sharded into s > 1 shards runs them as s parallelFor
+ * indices on its cellThreads() share.
+ */
+std::vector<ReplayResult> runJobs(const std::vector<ReplayJob> &jobs,
+                                  const TraceProvider &provider,
+                                  unsigned threads);
 
-    /**
-     * Replay one job over an already-fetched trace. With shards > 1
-     * (explicit, or chosen by the engine when @p default_shards is
-     * passed as 0), the replay is block-sharded across the pool.
-     */
-    ReplayResult replayTrace(const trace::Trace &t, const ReplayJob &job,
-                             unsigned default_shards = 1);
-
-    ThreadPool &pool() { return pool_; }
-
-  private:
-    ThreadPool &pool_;
-    TraceProvider provider_;
-};
+/**
+ * Replay one job over an already-fetched trace with @p threads
+ * threads. With shardCount() > 1 the replay is block-sharded across
+ * them, and the partial results are merged in shard-index order.
+ */
+ReplayResult replayTrace(const trace::Trace &t, const ReplayJob &job,
+                         unsigned threads = 1);
 
 } // namespace cosmos::replay
 

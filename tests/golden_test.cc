@@ -50,8 +50,8 @@ TEST(GoldenAccuracy, SerialReplayMatchesFixtureBitForBit)
 
 TEST(GoldenAccuracy, ParallelSweepMatchesFixtureBitForBit)
 {
-    // The same grid through the sharded SweepEngine: the parallel
-    // path must land on the very same counters.
+    // The same grid through the parallel sweep engine
+    // (replay::runJobs): it must land on the very same counters.
     std::vector<replay::ReplayJob> jobs;
     for (const auto &row : fixtures::golden_accuracy_rows)
         jobs.push_back(

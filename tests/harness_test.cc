@@ -15,7 +15,7 @@
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/trace_cache.hh"
-#include "replay/thread_pool.hh"
+#include "replay/parallel_for.hh"
 #include "workloads/micro.hh"
 
 namespace cosmos::harness
@@ -237,9 +237,8 @@ TEST(TraceCache, CorruptDiskCacheFallsBackToSimulation)
 TEST(TraceCache, ConcurrentDistinctKeysSimulateInParallel)
 {
     clearTraceCache();
-    replay::ThreadPool pool(4);
     std::vector<const trace::Trace *> traces(4);
-    pool.parallelFor(traces.size(), [&](std::size_t i) {
+    replay::parallelFor(4, traces.size(), [&](std::size_t i) {
         traces[i] =
             &cachedTrace("micro_rmw", 3 + static_cast<int>(i));
     });

@@ -176,7 +176,7 @@ sweepJson(unsigned threads, unsigned shards)
     obs::Registry reg;
     harness::SweepOptions opts;
     opts.threads = threads;
-    opts.metrics = &reg; // volatile pool stats must not leak into JSON
+    opts.metrics = &reg; // volatile task counts must not leak into JSON
     const auto results = harness::runSweep(jobs, opts);
     harness::publishSweepMetrics(jobs, results, reg);
     return reg.toJson();
@@ -191,9 +191,24 @@ TEST(MetricsExport, ByteIdenticalAcrossThreadCounts)
 
 TEST(MetricsExport, ByteIdenticalSerialVsShardedReplay)
 {
-    const std::string serial = sweepJson(2, 1);
-    const std::string sharded = sweepJson(2, 4);
+    // Four threads over two cells: each cell replays its shards on
+    // two threads, a parallelFor nested in the sweep's own. Three
+    // shards leave none of this trace's shards empty, so a lost
+    // partial shows.
+    const std::string serial = sweepJson(1, 1);
+    const std::string sharded = sweepJson(4, 3);
     EXPECT_EQ(serial, sharded);
+}
+
+TEST(MetricsExport, TasksSubmittedCountsCellsAndShards)
+{
+    const auto jobs = smallGrid(4);
+    obs::Registry reg;
+    harness::runSweep(jobs, {.threads = 2, .metrics = &reg});
+    EXPECT_EQ(reg.counter("replay.pool.tasks_submitted",
+                          obs::Stability::volatile_)
+                  .value(),
+              jobs.size() * (1 + 4));
 }
 
 TEST(MetricsExport, WriteJsonRoundTrips)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the parallel replay subsystem: the work-stealing
- * ThreadPool, the block-sharding invariant, the deterministic stats
+ * Tests of the parallel replay subsystem: the fork-join
+ * parallelFor, the block-sharding invariant, the deterministic stats
  * merges, and -- the core guarantee -- that sharded parallel replay
  * is bit-identical to serial replay for every workload and depth.
  *
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -22,9 +23,9 @@
 #include "cosmos/predictor_bank.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
+#include "replay/parallel_for.hh"
 #include "replay/sharding.hh"
 #include "replay/sweep.hh"
-#include "replay/thread_pool.hh"
 
 namespace cosmos
 {
@@ -33,122 +34,64 @@ namespace
 
 using replay::ReplayJob;
 using replay::ReplayResult;
-using replay::SweepEngine;
-using replay::ThreadPool;
 
-// ---------------------------------------------------------------- pool
+// ------------------------------------------------------- parallel for
 
-TEST(ThreadPool, RunsEverySubmittedTask)
+TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    std::atomic<int> done{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] {
-            count.fetch_add(1);
-            done.fetch_add(1);
-        });
-    while (done.load() < 100)
-        std::this_thread::yield();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WorkerStatsSumToTasksSubmitted)
-{
-    constexpr int n = 500;
-    ThreadPool pool(4);
-    std::atomic<int> done{0};
-    for (int i = 0; i < n; ++i)
-        pool.submit([&] { done.fetch_add(1); });
-    while (done.load() < n)
-        std::this_thread::yield();
-
-    EXPECT_EQ(pool.tasksSubmitted(), static_cast<std::uint64_t>(n));
-    const auto stats = pool.workerStats();
-    // One slot per worker plus the external-helper slot.
-    ASSERT_EQ(stats.size(), pool.size() + 1);
-    std::uint64_t run = 0;
-    for (const auto &w : stats)
-        run += w.tasksRun;
-    EXPECT_EQ(run, pool.tasksSubmitted());
-}
-
-TEST(ThreadPool, ParallelForTasksAllAccountedAcrossSlots)
-{
-    ThreadPool pool(3);
-    std::vector<std::atomic<int>> hits(200);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
-    // A drain task that finds no index left can still be queued when
-    // parallelFor returns; workers consume such stragglers promptly,
-    // so the counters converge on the submit count.
-    const std::uint64_t submitted = pool.tasksSubmitted();
-    auto sumRun = [&pool] {
-        std::uint64_t run = 0;
-        for (const auto &w : pool.workerStats())
-            run += w.tasksRun;
-        return run;
-    };
-    while (sumRun() < submitted)
-        std::this_thread::yield();
-    EXPECT_EQ(sumRun(), submitted);
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
-{
-    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    replay::parallelFor(4, hits.size(),
+                        [&](std::size_t i) { hits[i].fetch_add(1); });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForPropagatesExceptions)
+TEST(ParallelFor, PropagatesExceptions)
 {
-    ThreadPool pool(3);
-    EXPECT_THROW(pool.parallelFor(50,
-                                  [](std::size_t i) {
-                                      if (i == 17)
-                                          throw std::runtime_error(
-                                              "boom");
-                                  }),
+    std::atomic<int> ran{0};
+    EXPECT_THROW(replay::parallelFor(3, 50,
+                                     [&](std::size_t i) {
+                                         ran.fetch_add(1);
+                                         if (i == 17)
+                                             throw std::runtime_error(
+                                                 "boom");
+                                     }),
                  std::runtime_error);
+    EXPECT_EQ(ran.load(), 50); // every index still ran
 }
 
-TEST(ThreadPool, AsyncReturnsValueAndException)
+TEST(ParallelFor, NestedDoesNotDeadlock)
 {
-    ThreadPool pool(2);
-    auto ok = pool.async([] { return 41 + 1; });
-    EXPECT_EQ(ok.get(), 42);
-    auto bad = pool.async(
-        []() -> int { throw std::logic_error("nope"); });
-    EXPECT_THROW(bad.get(), std::logic_error);
-}
-
-TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
-{
-    ThreadPool pool(2);
     std::atomic<int> leaves{0};
-    pool.parallelFor(4, [&](std::size_t) {
-        pool.parallelFor(8,
-                         [&](std::size_t) { leaves.fetch_add(1); });
+    replay::parallelFor(2, 4, [&](std::size_t) {
+        replay::parallelFor(2, 8,
+                            [&](std::size_t) { leaves.fetch_add(1); });
     });
     EXPECT_EQ(leaves.load(), 32);
 }
 
-TEST(ThreadPool, DefaultThreadCountHonorsEnvironment)
+TEST(ParallelFor, OneThreadRunsOnTheCallingThread)
+{
+    // Each index sleeps, so any second thread would get to run some.
+    std::vector<std::thread::id> ran_on(64);
+    replay::parallelFor(1, ran_on.size(), [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ran_on[i] = std::this_thread::get_id();
+    });
+    for (const auto &id : ran_on)
+        EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ParallelFor, DefaultThreadCountHonorsEnvironment)
 {
     setenv("COSMOS_THREADS", "3", 1);
-    EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
+    EXPECT_EQ(replay::defaultThreadCount(), 3u);
     setenv("COSMOS_THREADS", "not-a-number", 1);
     setWarningsEnabled(false);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+    EXPECT_GE(replay::defaultThreadCount(), 1u);
     setWarningsEnabled(true);
     unsetenv("COSMOS_THREADS");
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+    EXPECT_GE(replay::defaultThreadCount(), 1u);
 }
 
 // ------------------------------------------------------------ sharding
@@ -262,10 +205,11 @@ TEST(StatsMergeDeathTest, MemoryStatsMergeRejectsDepthMismatch)
 
 /** Serial reference replay through one bank. */
 ReplayResult
-serialReplay(const trace::Trace &t, const pred::CosmosConfig &cfg)
+serialReplay(const trace::Trace &t, const pred::CosmosConfig &cfg,
+             std::int32_t max_iteration = INT32_MAX)
 {
     pred::PredictorBank bank(t.numNodes, cfg);
-    bank.replay(t);
+    bank.replay(t, max_iteration);
     ReplayResult r;
     r.accuracy = bank.accuracy();
     r.cacheArcs = bank.arcs(proto::Role::cache);
@@ -319,25 +263,17 @@ TEST(Determinism, ShardedReplayMatchesSerialForAllAppsAndDepths)
 {
     // Short runs keep the suite fast; the invariant is iteration-
     // count independent (prediction state is purely per-block).
-    ThreadPool pool(4);
-    SweepEngine engine(pool);
     for (const std::string app :
          {"appbt", "barnes", "dsmc", "moldyn", "unstructured"}) {
         const auto &trace = harness::cachedTrace(app, 6);
         for (unsigned depth = 1; depth <= 4; ++depth) {
             const pred::CosmosConfig cfg{depth, 0};
             const auto serial = serialReplay(trace, cfg);
-            ReplayJob job;
-            job.app = app;
-            job.config = cfg;
-            job.shards = 5;
-            // Sharding down-scales on tiny traces; force >1 shard by
-            // replaying through explicit shard counts.
             for (unsigned shards : {2u, 5u}) {
                 const auto parts =
                     replay::shardByBlock(trace, shards);
                 std::vector<ReplayResult> partial(parts.size());
-                pool.parallelFor(parts.size(), [&](std::size_t s) {
+                replay::parallelFor(4, parts.size(), [&](std::size_t s) {
                     pred::PredictorBank bank(trace.numNodes, cfg);
                     bank.replay(parts[s].records);
                     ReplayResult r;
@@ -359,28 +295,19 @@ TEST(Determinism, ShardedReplayMatchesSerialForAllAppsAndDepths)
 
 TEST(Determinism, SweepEngineMatchesSerialWithFiltersAndPrefixes)
 {
-    ThreadPool pool(3);
-    SweepEngine engine(pool);
     const auto &trace = harness::cachedTrace("dsmc", 8);
 
     for (const auto &cfg :
          {pred::CosmosConfig{1, 1}, pred::CosmosConfig{2, 2}}) {
-        pred::PredictorBank bank(trace.numNodes, cfg);
-        bank.replay(trace, 4);
         ReplayJob job;
         job.config = cfg;
         job.maxIteration = 4;
         job.shards = 4;
-        const auto parallel = engine.replayTrace(trace, job);
-        // Force actual sharding past the size heuristic by checking
-        // counts (tiny traces may collapse to one shard; the counts
-        // must match either way).
-        EXPECT_EQ(parallel.accuracy.overall().hits,
-                  bank.accuracy().overall().hits);
-        EXPECT_EQ(parallel.accuracy.overall().total,
-                  bank.accuracy().overall().total);
-        EXPECT_EQ(parallel.memory.phtEntries,
-                  bank.memoryStats().phtEntries);
+        // An explicit shard count is honoured however small the
+        // trace: four banks, replayed on three threads, then merged.
+        ASSERT_EQ(replay::shardCount(job, trace.records.size(), 3), 4u);
+        expectBitIdentical(serialReplay(trace, cfg, 4),
+                           replay::replayTrace(trace, job, 3));
     }
 }
 
@@ -410,12 +337,27 @@ TEST(SweepEngine, RunReturnsResultsInJobOrder)
     harness::clearTraceCache();
 }
 
+TEST(SweepEngine, ShardAndThreadPolicy)
+{
+    // Cells split the threads; an unsharded cell gets one shard per
+    // thread it has, floored at one shard per ~64k records.
+    EXPECT_EQ(replay::cellThreads(4, 40), 1u);
+    EXPECT_EQ(replay::cellThreads(4, 2), 2u);
+    EXPECT_EQ(replay::cellThreads(3, 2), 1u);
+    ReplayJob job;
+    EXPECT_EQ(replay::shardCount(job, 1000, 4), 1u);
+    EXPECT_EQ(replay::shardCount(job, 200000, 4), 4u);
+    EXPECT_EQ(replay::shardCount(job, 200000, 2), 2u);
+    EXPECT_EQ(replay::shardCount(job, 200000, 8), 4u);
+    job.shards = 6;
+    EXPECT_EQ(replay::shardCount(job, 1000, 1), 6u);
+}
+
 TEST(SweepEngine, ConcurrentFetchesOfOneKeySimulateOnce)
 {
     harness::clearTraceCache();
-    ThreadPool pool(8);
     std::vector<const trace::Trace *> seen(16);
-    pool.parallelFor(seen.size(), [&](std::size_t i) {
+    replay::parallelFor(8, seen.size(), [&](std::size_t i) {
         seen[i] = &harness::cachedTrace("micro_rmw", 6);
     });
     for (const auto *t : seen)

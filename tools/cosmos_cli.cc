@@ -120,8 +120,9 @@
  *   --policy P       owner-read policy: half-migratory | downgrade
  *   --depth D        MHR depth for analyze (default 2)
  *   --filter F       filter max count for analyze (default 0)
- *   --threads N      (sweep) worker threads; 0 = COSMOS_THREADS,
- *                    else hardware concurrency
+ *   --threads N      (sweep) total threads, the calling thread
+ *                    included, at most 256; 1 runs serially, 0 =
+ *                    COSMOS_THREADS, else hardware concurrency
  *   --out FILE       (run) save the trace here; (figures) output
  *                    directory (default ".")
  *   --metrics-out F  write the metrics registry as stable JSON
@@ -265,6 +266,22 @@ usage()
     std::exit(2);
 }
 
+/** --threads value: an integer in 0..256 (the COSMOS_THREADS cap). */
+unsigned
+parseThreads(const char *text)
+{
+    char *end = nullptr;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || v < 0 || v > 256) {
+        std::fprintf(stderr,
+                     "bad --threads value '%s': expected 0..256 "
+                     "(total threads; 1 = serial, 0 = default)\n",
+                     text);
+        usage();
+    }
+    return static_cast<unsigned>(v);
+}
+
 CliArgs
 parse(int argc, char **argv)
 {
@@ -299,7 +316,7 @@ parse(int argc, char **argv)
         } else if (flag == "--filter") {
             args.filter = static_cast<unsigned>(std::atoi(value()));
         } else if (flag == "--threads") {
-            args.threads = static_cast<unsigned>(std::atoi(value()));
+            args.threads = parseThreads(value());
         } else if (flag == "--out") {
             args.out = value();
         } else if (flag == "--metrics-out") {
