@@ -88,7 +88,7 @@ python3 scripts/check_json.py --schema fuzz \
 echo "== fuzz smoke OK (200 clean seeds, planted bug caught)"
 
 # Model-check smoke: the exhaustive checker must close out the
-# 2-node and 3-node spaces cleanly with the pinned golden counts (a
+# 2-node, 3-node and 3-node 2-block spaces cleanly with the pinned golden counts (a
 # count drift is a protocol-semantics change that must be reviewed)
 # and a valid cosmos-model-v1 artifact. Negative leg: the planted
 # lost-invalidation bug MUST produce an SWMR counterexample, and that
@@ -98,8 +98,11 @@ echo "== fuzz smoke OK (200 clean seeds, planted bug caught)"
 ./build/tools/cosmos model --out artifacts/model_2n.json > /dev/null
 ./build/tools/cosmos model --nodes 3 \
     --out artifacts/model_3n.json > /dev/null
+./build/tools/cosmos model --nodes 3 --blocks 2 \
+    --out artifacts/model_3n2b.json > /dev/null
 python3 scripts/check_json.py --schema model \
-    artifacts/model_2n.json artifacts/model_3n.json
+    artifacts/model_2n.json artifacts/model_3n.json \
+    artifacts/model_3n2b.json
 grep -q '"states": 48,' artifacts/model_2n.json
 grep -q '"transitions": 86,' artifacts/model_2n.json
 grep -q '"nondeterministic": 0' artifacts/model_2n.json
@@ -107,6 +110,11 @@ grep -q '"consistent": true' artifacts/model_2n.json
 grep -q '"states": 488,' artifacts/model_3n.json
 grep -q '"transitions": 1152,' artifacts/model_3n.json
 grep -q '"consistent": true' artifacts/model_3n.json
+grep -q '"states": 51297,' artifacts/model_3n2b.json
+grep -q '"transitions": 151392,' artifacts/model_3n2b.json
+grep -q '"max_depth": 25,' artifacts/model_3n2b.json
+grep -q '"nondeterministic": 0' artifacts/model_3n2b.json
+grep -q '"consistent": true' artifacts/model_3n2b.json
 if ./build/tools/cosmos model --inject-ignore-inval 1 \
     --out artifacts/model_planted_bug.json \
     --counterexample-out artifacts/model_counterexample.txt \
@@ -124,7 +132,7 @@ if ./build/tools/cosmos fuzz \
          "simulator" >&2
     exit 1
 fi
-echo "== model-check smoke OK (48/488-state closures, planted bug" \
+echo "== model-check smoke OK (48/488/51297-state closures, planted bug" \
      "caught and replayed)"
 
 # Forwarding model-check: the fwd_ack handshake must close every

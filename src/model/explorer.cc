@@ -1,9 +1,12 @@
 #include "model/explorer.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <deque>
 #include <fstream>
 #include <optional>
+#include <span>
 
 #include "common/arena.hh"
 #include "common/flat_map.hh"
@@ -16,82 +19,155 @@ namespace cosmos::model
 namespace
 {
 
-std::uint64_t
-fnv1a(const std::uint8_t *p, std::size_t n)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 constexpr std::uint32_t no_state = 0xFFFFFFFFu;
 
-/** One visited canonical state (the encoding lives in the arena). */
-struct StateRec
+/** Hash of an encoding, taken a 64-bit word at a time (the tail word
+ *  zero-padded) and finished with the splitmix64 mix. */
+std::uint64_t
+hashEncoding(const std::uint8_t *p, std::size_t n)
 {
-    const std::uint8_t *enc = nullptr;
-    std::uint32_t len = 0;
-    std::uint32_t nextSameHash = no_state;
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
+    const auto mix = [&h](std::uint64_t w) {
+        h = (h ^ w) * 0xbf58476d1ce4e5b9ull;
+        h ^= h >> 31;
+    };
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        mix(w);
+    }
+    if (i < n) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, n - i);
+        mix(w);
+    }
+    return FlatHash{}(h);
+}
+
+/**
+ * Exact-dedup visited set: one open-addressed array of {hash tag,
+ * state id} slots, probed linearly and kept at most half full.
+ * Membership is decided by byte comparison against the stored
+ * encoding, so dedup is exact; the 32-bit tag only skips most
+ * comparisons, and since the slot index is taken from the tag, the
+ * array regrows without rehashing any encoding. Encodings live in an
+ * arena (a two-byte length, then the bytes), so storing one never
+ * moves the others.
+ */
+class VisitedSet
+{
+  public:
+    VisitedSet() : slots_(std::size_t{1} << 12) {}
+
+    /** The hash tag of @p enc, for prefetch() and insert(). */
+    static std::uint32_t
+    tagOf(const Encoding &enc)
+    {
+        return static_cast<std::uint32_t>(
+            hashEncoding(enc.data(), enc.size));
+    }
+
+    /** Start loading the slot insert(enc, tag) probes first. */
+    void
+    prefetch(std::uint32_t tag) const
+    {
+        __builtin_prefetch(&slots_[tag & (slots_.size() - 1)]);
+    }
+
+    /** @return (state id, true) on first insertion, (existing id,
+     *  false) on a revisit. Ids count up from 0 in insertion order.
+     *  @p tag must be tagOf(enc). */
+    std::pair<std::uint32_t, bool>
+    insert(const Encoding &enc, std::uint32_t tag)
+    {
+        if ((stored_.size() + 1) * 2 > slots_.size())
+            grow();
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = tag & mask;
+        for (; slots_[i].id != no_state; i = (i + 1) & mask) {
+            if (slots_[i].tag != tag)
+                continue;
+            const auto known = encoding(slots_[i].id);
+            if (known.size() == enc.size &&
+                std::memcmp(known.data(), enc.data(), enc.size) == 0)
+                return {slots_[i].id, false};
+        }
+
+        const auto len = static_cast<std::uint16_t>(enc.size);
+        auto *mem = static_cast<std::uint8_t *>(
+            arena_.allocate(sizeof len + enc.size, 1));
+        std::memcpy(mem, &len, sizeof len);
+        std::memcpy(mem + sizeof len, enc.data(), enc.size);
+        const auto id = static_cast<std::uint32_t>(stored_.size());
+        stored_.push_back(mem);
+        slots_[i] = {tag, id};
+        return {id, true};
+    }
+
+    /** The encoding of state @p id. */
+    std::span<const std::uint8_t>
+    encoding(std::uint32_t id) const
+    {
+        const std::uint8_t *mem = stored_[id];
+        std::uint16_t len;
+        std::memcpy(&len, mem, sizeof len);
+        return {mem + sizeof len, len};
+    }
+
+    std::size_t size() const { return stored_.size(); }
+
+  private:
+    struct Slot
+    {
+        std::uint32_t tag = 0;
+        std::uint32_t id = no_state; ///< no_state: empty
+    };
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        const std::size_t mask = slots_.size() - 1;
+        for (const Slot &sl : old) {
+            if (sl.id == no_state)
+                continue;
+            std::size_t i = sl.tag & mask;
+            while (slots_[i].id != no_state)
+                i = (i + 1) & mask;
+            slots_[i] = sl;
+        }
+    }
+
+    static_assert(max_encoding <= 0xFFFF,
+                  "encoding lengths are stored in two bytes");
+
+    Arena arena_;
+    std::vector<Slot> slots_;
+    /** Per state id, where its encoding starts in arena_. */
+    std::vector<const std::uint8_t *> stored_;
+};
+
+/** How a state was first reached. Read for its BFS depth and to
+ *  rebuild counterexample schedules, never on the dedup path. */
+struct Trail
+{
     std::uint32_t parent = no_state;
     std::uint32_t depth = 0;
     Action via{};
 };
 
-/**
- * Exact-dedup visited set: hash -> chain of states sharing the hash,
- * membership decided by byte comparison of the arena-stored
- * encodings.
- */
-class VisitedSet
+/** Node ids of the set bits of @p mask, ascending. */
+std::vector<NodeId>
+nodesOf(unsigned mask)
 {
-  public:
-    /** @return (state id, true) on first insertion, (existing id,
-     *  false) on a revisit. */
-    std::pair<std::uint32_t, bool>
-    insert(const std::vector<std::uint8_t> &enc)
-    {
-        const std::uint64_t h = fnv1a(enc.data(), enc.size());
-        std::uint32_t *head = map_.find(h);
-        if (head) {
-            for (std::uint32_t id = *head; id != no_state;
-                 id = recs_[id].nextSameHash) {
-                const StateRec &r = recs_[id];
-                if (r.len == enc.size() &&
-                    std::equal(enc.begin(), enc.end(), r.enc)) {
-                    return {id, false};
-                }
-            }
-        }
-        auto *mem = static_cast<std::uint8_t *>(
-            arena_.allocate(enc.size(), 1));
-        std::copy(enc.begin(), enc.end(), mem);
-        StateRec r;
-        r.enc = mem;
-        r.len = static_cast<std::uint32_t>(enc.size());
-        const auto id = static_cast<std::uint32_t>(recs_.size());
-        if (head) {
-            // Chain onto the existing hash bucket; no map insertion,
-            // so `head` stays valid.
-            r.nextSameHash = *head;
-            *head = id;
-        } else {
-            map_.insert(h, id);
-        }
-        recs_.push_back(r);
-        return {id, true};
-    }
-
-    StateRec &rec(std::uint32_t id) { return recs_[id]; }
-    std::size_t size() const { return recs_.size(); }
-
-  private:
-    Arena arena_;
-    FlatMap<std::uint64_t, std::uint32_t> map_{&arena_};
-    std::vector<StateRec> recs_;
-};
+    std::vector<NodeId> nodes;
+    for (unsigned n = 0; mask >> n; ++n)
+        if (mask & (1u << n))
+            nodes.push_back(static_cast<NodeId>(n));
+    return nodes;
+}
 
 /** First safety violation of @p s, if any (fixed check order keeps
  *  reports deterministic). Mirrors check::InvariantEngine's rules on
@@ -100,16 +176,16 @@ std::optional<check::Violation>
 checkState(const GlobalState &s, const ModelConfig &mc)
 {
     for (unsigned b = 0; b < mc.numBlocks; ++b) {
-        std::vector<NodeId> writers;
-        std::vector<NodeId> readers;
+        unsigned writers = 0; // node bitmasks
+        unsigned readers = 0;
         bool transient = false;
         for (unsigned n = 0; n < mc.numNodes; ++n) {
             switch (static_cast<proto::LineState>(s.line[n][b])) {
               case proto::LineState::read_write:
-                writers.push_back(static_cast<NodeId>(n));
+                writers |= 1u << n;
                 break;
               case proto::LineState::read_only:
-                readers.push_back(static_cast<NodeId>(n));
+                readers |= 1u << n;
                 break;
               case proto::LineState::invalid:
                 break;
@@ -118,28 +194,34 @@ checkState(const GlobalState &s, const ModelConfig &mc)
                 break;
             }
         }
+        const auto copies = [&] {
+            std::vector<NodeId> nodes = nodesOf(writers);
+            const std::vector<NodeId> ro = nodesOf(readers);
+            nodes.insert(nodes.end(), ro.begin(), ro.end());
+            return nodes;
+        };
 
-        if (writers.size() > 1) {
+        if (std::popcount(writers) > 1) {
             check::Violation v;
             v.kind = check::ViolationKind::multiple_writers;
             v.block = mc.blockAddr(b);
-            v.nodes = writers;
+            v.nodes = nodesOf(writers);
             v.detail = detail::concat(
                 "block ", b, " is cached read_write at ",
-                writers.size(), " nodes simultaneously");
+                std::popcount(writers), " nodes simultaneously");
             return v;
         }
-        if (writers.size() == 1 && !readers.empty()) {
+        if (writers != 0 && readers != 0) {
+            const int numReaders = std::popcount(readers);
             check::Violation v;
             v.kind = check::ViolationKind::writer_and_readers;
             v.block = mc.blockAddr(b);
-            v.nodes = writers;
-            v.nodes.insert(v.nodes.end(), readers.begin(),
-                           readers.end());
+            v.nodes = copies();
             v.detail = detail::concat(
                 "block ", b, " has a read_write copy at node ",
-                writers[0], " coexisting with ", readers.size(),
-                " read_only cop", readers.size() == 1 ? "y" : "ies");
+                std::countr_zero(writers), " coexisting with ",
+                numReaders, " read_only cop",
+                numReaders == 1 ? "y" : "ies");
             return v;
         }
 
@@ -164,29 +246,24 @@ checkState(const GlobalState &s, const ModelConfig &mc)
         if (inFlight)
             continue;
 
-        std::uint8_t roMask = 0;
-        for (NodeId n : readers)
-            roMask |= static_cast<std::uint8_t>(1u << n);
-
         std::string mismatch;
         switch (e.state) {
           case proto::DirState::idle:
-            if (!writers.empty() || !readers.empty())
+            if (writers != 0 || readers != 0)
                 mismatch = "entry is idle but cached copies exist";
             break;
           case proto::DirState::shared:
-            if (!writers.empty())
+            if (writers != 0)
                 mismatch = "entry is shared but a read_write copy "
                            "exists";
-            else if (e.sharers != roMask)
+            else if (e.sharers != readers)
                 mismatch = detail::concat(
                     "sharer bits ", unsigned{e.sharers},
-                    " disagree with the read_only copies ",
-                    unsigned{roMask});
+                    " disagree with the read_only copies ", readers);
             break;
           case proto::DirState::exclusive:
-            if (writers.size() != 1 || e.owner != writers[0] ||
-                !readers.empty()) {
+            if (std::popcount(writers) != 1 ||
+                e.owner != std::countr_zero(writers) || readers != 0) {
                 mismatch = detail::concat(
                     "entry is exclusive at node ", unsigned{e.owner},
                     " but the caches disagree");
@@ -197,9 +274,7 @@ checkState(const GlobalState &s, const ModelConfig &mc)
             check::Violation v;
             v.kind = check::ViolationKind::directory_mismatch;
             v.block = mc.blockAddr(b);
-            v.nodes = writers;
-            v.nodes.insert(v.nodes.end(), readers.begin(),
-                           readers.end());
+            v.nodes = copies();
             v.detail = detail::concat("block ", b, ": ", mismatch);
             return v;
         }
@@ -218,7 +293,7 @@ checkState(const GlobalState &s, const ModelConfig &mc)
     if (networkEmpty) {
         for (unsigned b = 0; b < mc.numBlocks; ++b) {
             bool stuck = s.dir[b].busy;
-            std::vector<NodeId> waiting;
+            unsigned waiting = 0;
             for (unsigned n = 0; n < mc.numNodes; ++n) {
                 const auto st =
                     static_cast<proto::LineState>(s.line[n][b]);
@@ -226,14 +301,14 @@ checkState(const GlobalState &s, const ModelConfig &mc)
                     st == proto::LineState::wait_rw ||
                     st == proto::LineState::wait_upg) {
                     stuck = true;
-                    waiting.push_back(static_cast<NodeId>(n));
+                    waiting |= 1u << n;
                 }
             }
             if (stuck) {
                 check::Violation v;
                 v.kind = check::ViolationKind::liveness;
                 v.block = mc.blockAddr(b);
-                v.nodes = waiting;
+                v.nodes = nodesOf(waiting);
                 v.detail = detail::concat(
                     "deadlock: block ", b,
                     " has a transaction in progress but the network "
@@ -272,14 +347,13 @@ translateAction(const Action &a,
  */
 Counterexample
 buildCounterexample(const ModelConfig &mc, Stepper &stepper,
-                    VisitedSet &visited, std::uint32_t id,
+                    const std::vector<Trail> &trails, std::uint32_t id,
                     const Action *extra, check::Violation v)
 {
     std::vector<Action> raw;
-    for (std::uint32_t cur = id;
-         visited.rec(cur).parent != no_state;
-         cur = visited.rec(cur).parent) {
-        raw.push_back(visited.rec(cur).via);
+    for (std::uint32_t cur = id; trails[cur].parent != no_state;
+         cur = trails[cur].parent) {
+        raw.push_back(trails[cur].via);
     }
     std::reverse(raw.begin(), raw.end());
     if (extra)
@@ -287,7 +361,7 @@ buildCounterexample(const ModelConfig &mc, Stepper &stepper,
 
     Counterexample ce;
     GlobalState s = Stepper::initialState();
-    std::vector<std::uint8_t> enc;
+    Encoding enc;
     std::array<std::uint8_t, max_nodes> perm{};
     std::array<std::uint8_t, max_nodes> inv{};
     Stepper::Result r;
@@ -335,11 +409,13 @@ explore(const ExploreOptions &opt)
     ExploreResult res;
     Stepper stepper(mc);
     VisitedSet visited;
+    std::vector<Trail> trails; // indexed by state id
     std::deque<std::uint32_t> frontier;
 
-    std::vector<std::uint8_t> enc;
+    Encoding enc;
     canonicalEncoding(Stepper::initialState(), mc, enc);
-    frontier.push_back(visited.insert(enc).first);
+    frontier.push_back(visited.insert(enc, VisitedSet::tagOf(enc)).first);
+    trails.emplace_back();
 
     std::vector<Action> actions;
     GlobalState s;
@@ -349,22 +425,31 @@ explore(const ExploreOptions &opt)
                             check::Violation v) {
         if (res.counterexamples.size() >= opt.maxViolations)
             return;
-        v.when = visited.rec(parentId).depth + (extra ? 1 : 0);
+        v.when = trails[parentId].depth + (extra ? 1 : 0);
         res.counterexamples.push_back(buildCounterexample(
-            mc, stepper, visited, parentId, extra, std::move(v)));
+            mc, stepper, trails, parentId, extra, std::move(v)));
     };
 
     while (!frontier.empty()) {
         const std::uint32_t id = frontier.front();
         frontier.pop_front();
-        const StateRec cur = visited.rec(id); // by value: recs_ grows
-        decodeState(cur.enc, cur.len, mc, s);
-        res.maxDepth = std::max(res.maxDepth, unsigned{cur.depth});
+        const std::uint32_t depth = trails[id].depth;
+        const auto curEnc = visited.encoding(id);
+        decodeState(curEnc.data(), curEnc.size(), mc, s);
+        res.maxDepth = std::max(res.maxDepth, unsigned{depth});
 
         enumerateActions(s, mc, actions);
         for (const Action &a : actions) {
             stepper.step(s, a, stepRes);
             ++res.transitions;
+            // Encode and hash first, so the visited slot loads while
+            // the samples are folded into the table.
+            std::uint32_t tag = 0;
+            if (!stepRes.failed) {
+                canonicalEncoding(stepRes.next, mc, enc);
+                tag = VisitedSet::tagOf(enc);
+                visited.prefetch(tag);
+            }
             for (const Sample &smp : stepRes.samples)
                 res.table.record(smp);
 
@@ -377,14 +462,10 @@ explore(const ExploreOptions &opt)
                 continue;
             }
 
-            canonicalEncoding(stepRes.next, mc, enc);
-            const auto [nid, fresh] = visited.insert(enc);
+            const auto [nid, fresh] = visited.insert(enc, tag);
             if (!fresh)
                 continue;
-            StateRec &nr = visited.rec(nid);
-            nr.parent = id;
-            nr.via = a;
-            nr.depth = cur.depth + 1;
+            trails.push_back({id, depth + 1, a});
 
             if (auto v = checkState(stepRes.next, mc)) {
                 // Violating states are terminal: record, don't

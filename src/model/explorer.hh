@@ -11,9 +11,11 @@
  * reported as the check layer's structured Violation records.
  *
  * The visited set stores canonical encodings (model/state symmetry
- * reduction) in an Arena, indexed by a FlatMap from 64-bit FNV-1a
- * hashes to chains of states sharing the hash; membership is decided
- * by byte comparison, so dedup is exact, never probabilistic.
+ * reduction) in an Arena, indexed by one open-addressed array of
+ * {hash tag, state id} slots; membership is decided by byte
+ * comparison, so dedup is exact, never probabilistic. How each state
+ * was first reached (parent, depth, action) is kept apart from the
+ * dedup path and read only for depths and counterexamples.
  *
  * Violating and failed (trapped-assertion) states are terminal: they
  * are recorded with a shortest-path counterexample but not expanded,

@@ -146,8 +146,8 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
 
     os << "  \"table\": {\"entries\": [";
     bool firstEntry = true;
-    std::size_t nondet = 0;
-    for (const auto &[key, entry] : res.table.entries()) {
+    for (const TableEntry *entry : res.table.entries()) {
+        const TableKey &key = entry->key;
         os << (firstEntry ? "" : ",") << "\n    {\"module\": ";
         appendJsonString(os, toString(key.module));
         os << ", \"state\": ";
@@ -155,16 +155,17 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
         os << ", \"input\": ";
         appendJsonString(os, inputName(key.input));
         os << ", \"context\": ";
-        appendJsonString(os, key.context);
-        os << ", \"hits\": " << entry.hits << ", \"outcomes\": [";
+        appendJsonString(os, key.context());
+        os << ", \"hits\": " << entry->hits << ", \"outcomes\": [";
         bool firstOutcome = true;
-        for (const Outcome &o : entry.outcomes) {
+        for (const Outcome &o : entry->outcomes) {
             os << (firstOutcome ? "" : ", ") << "{\"next\": ";
             appendJsonString(os, stateName(key.module, o.next));
             os << ", \"emits\": [";
-            for (std::size_t i = 0; i < o.emissions.size(); ++i) {
+            const std::vector<proto::MsgType> emits = o.emissions();
+            for (std::size_t i = 0; i < emits.size(); ++i) {
                 os << (i ? ", " : "");
-                appendJsonString(os, proto::toString(o.emissions[i]));
+                appendJsonString(os, proto::toString(emits[i]));
             }
             os << "]}";
             firstOutcome = false;
@@ -172,12 +173,8 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
         os << "]}";
         firstEntry = false;
     }
-    for (const TableKey *k : res.table.nondeterministicKeys()) {
-        (void)k;
-        ++nondet;
-    }
     os << (firstEntry ? "]" : "\n  ]") << ", \"nondeterministic\": "
-       << nondet << "},\n";
+       << res.table.nondeterministicKeys().size() << "},\n";
 
     os << "  \"lint\": [";
     const auto lint = res.table.lint();

@@ -5,9 +5,9 @@
  * JSON artifact for CI (scripts/check_json.py validates the schema).
  *
  * Byte-stability contract: two runs with the same configuration
- * produce byte-identical JSON. Table entries render in TableKey
- * order (std::map), lint findings and violations in discovery order,
- * which BFS makes deterministic.
+ * produce byte-identical JSON. Table entries render in report order
+ * (TransitionTable::entries), lint findings and violations in
+ * discovery order, which BFS makes deterministic.
  */
 
 #ifndef COSMOS_MODEL_REPORT_HH

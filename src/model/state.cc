@@ -152,16 +152,24 @@ isQuiescent(const GlobalState &s, const ModelConfig &mc)
 namespace
 {
 
-void
-encodeMsg(const CompactMsg &m, std::vector<std::uint8_t> &out)
+/** Appends to an Encoding's fixed buffer. */
+struct Writer
 {
-    out.push_back(static_cast<std::uint8_t>(m.type));
-    out.push_back(m.src);
-    out.push_back(m.dst);
-    out.push_back(m.requester);
-    out.push_back(m.blockIdx);
-    out.push_back(static_cast<std::uint8_t>(m.forwarded));
-    out.push_back(static_cast<std::uint8_t>(m.wantWritable));
+    std::uint8_t *at;
+
+    void put(std::uint8_t b) { *at++ = b; }
+};
+
+void
+encodeMsg(const CompactMsg &m, Writer &w)
+{
+    w.put(static_cast<std::uint8_t>(m.type));
+    w.put(m.src);
+    w.put(m.dst);
+    w.put(m.requester);
+    w.put(m.blockIdx);
+    w.put(static_cast<std::uint8_t>(m.forwarded));
+    w.put(static_cast<std::uint8_t>(m.wantWritable));
 }
 
 std::size_t
@@ -178,11 +186,11 @@ decodeMsg(const std::uint8_t *enc, CompactMsg &m)
 }
 
 void
-encodeQueue(const MsgQueue &q, std::vector<std::uint8_t> &out)
+encodeQueue(const MsgQueue &q, Writer &w)
 {
-    out.push_back(q.count);
+    w.put(q.count);
     for (unsigned i = 0; i < q.count; ++i)
-        encodeMsg(q.items[i], out);
+        encodeMsg(q.items[i], w);
 }
 
 std::size_t
@@ -201,33 +209,42 @@ decodeQueue(const std::uint8_t *enc, MsgQueue &q)
 } // namespace
 
 void
-encodeState(const GlobalState &s, const ModelConfig &mc,
-            std::vector<std::uint8_t> &out)
+encodeState(const GlobalState &s, const ModelConfig &mc, Encoding &out)
 {
-    out.clear();
+    Writer w{out.bytes.data()};
     for (unsigned n = 0; n < mc.numNodes; ++n) {
         for (unsigned b = 0; b < mc.numBlocks; ++b)
-            out.push_back(s.line[n][b]);
-        out.push_back(s.invalResidue[n]);
+            w.put(s.line[n][b]);
+        w.put(s.invalResidue[n]);
     }
     for (unsigned b = 0; b < mc.numBlocks; ++b) {
         const DirEntryState &e = s.dir[b];
-        out.push_back(static_cast<std::uint8_t>(e.state));
-        out.push_back(e.sharers);
-        out.push_back(e.owner);
-        out.push_back(static_cast<std::uint8_t>(e.busy));
-        out.push_back(e.pendingAcks);
-        out.push_back(static_cast<std::uint8_t>(e.genuineUpgrade));
-        out.push_back(static_cast<std::uint8_t>(e.recall));
-        out.push_back(static_cast<std::uint8_t>(e.fwdData));
-        out.push_back(static_cast<std::uint8_t>(e.fwdAckPending));
-        encodeMsg(e.current, out);
-        encodeQueue(e.waiting, out);
+        w.put(static_cast<std::uint8_t>(e.state));
+        w.put(e.sharers);
+        w.put(e.owner);
+        w.put(static_cast<std::uint8_t>(e.busy));
+        w.put(e.pendingAcks);
+        w.put(static_cast<std::uint8_t>(e.genuineUpgrade));
+        w.put(static_cast<std::uint8_t>(e.recall));
+        w.put(static_cast<std::uint8_t>(e.fwdData));
+        w.put(static_cast<std::uint8_t>(e.fwdAckPending));
+        encodeMsg(e.current, w);
+        encodeQueue(e.waiting, w);
     }
     for (unsigned src = 0; src < mc.numNodes; ++src)
         for (unsigned dst = 0; dst < mc.numNodes; ++dst)
             if (src != dst)
-                encodeQueue(s.channel(src, dst), out);
+                encodeQueue(s.channel(src, dst), w);
+    out.size = static_cast<std::size_t>(w.at - out.bytes.data());
+}
+
+void
+encodeState(const GlobalState &s, const ModelConfig &mc,
+            std::vector<std::uint8_t> &out)
+{
+    Encoding e;
+    encodeState(s, mc, e);
+    out.assign(e.data(), e.data() + e.size);
 }
 
 void
@@ -331,7 +348,7 @@ permuteNodes(const GlobalState &s, const ModelConfig &mc,
 
 void
 canonicalEncoding(const GlobalState &s, const ModelConfig &mc,
-                  std::vector<std::uint8_t> &out,
+                  Encoding &out,
                   std::array<std::uint8_t, max_nodes> *bestPerm)
 {
     std::array<std::uint8_t, max_nodes> perm{};
@@ -346,12 +363,13 @@ canonicalEncoding(const GlobalState &s, const ModelConfig &mc,
     if (first + 1 >= mc.numNodes)
         return; // fewer than two interchangeable nodes
 
-    std::vector<std::uint8_t> candidate;
-    candidate.reserve(out.size());
+    Encoding candidate;
     while (std::next_permutation(perm.begin() + first,
                                  perm.begin() + mc.numNodes)) {
         encodeState(permuteNodes(s, mc, perm), mc, candidate);
-        if (candidate < out) {
+        if (std::lexicographical_compare(
+                candidate.data(), candidate.data() + candidate.size,
+                out.data(), out.data() + out.size)) {
             out = candidate;
             if (bestPerm)
                 *bestPerm = perm;
@@ -363,7 +381,9 @@ void
 canonicalEncoding(const GlobalState &s, const ModelConfig &mc,
                   std::vector<std::uint8_t> &out)
 {
-    canonicalEncoding(s, mc, out, nullptr);
+    Encoding e;
+    canonicalEncoding(s, mc, e);
+    out.assign(e.data(), e.data() + e.size);
 }
 
 } // namespace cosmos::model

@@ -226,7 +226,30 @@ void enumerateActions(const GlobalState &s, const ModelConfig &mc,
  *  mid-transaction. */
 bool isQuiescent(const GlobalState &s, const ModelConfig &mc);
 
+/** Longest encodeState() result at the model's bounds: per node its
+ *  lines and residue, per block a directory entry (nine fields, the
+ *  current message, a full waiting queue), per channel a full queue;
+ *  a message packs into 7 bytes, a queue adds its count byte. */
+constexpr std::size_t max_encoding =
+    max_nodes * (max_blocks + 1) +
+    max_blocks * (9 + 7 + 1 + 7 * max_queue) +
+    max_nodes * (max_nodes - 1) * (1 + 7 * max_queue);
+
+/** A state encoding in a fixed buffer, so encoding a state never
+ *  touches the heap. */
+struct Encoding
+{
+    std::array<std::uint8_t, max_encoding> bytes;
+    std::size_t size = 0;
+
+    const std::uint8_t *data() const { return bytes.data(); }
+};
+
 /** Serialize exactly the fields live under @p mc (deterministic). */
+void encodeState(const GlobalState &s, const ModelConfig &mc,
+                 Encoding &out);
+
+/** As above, into a vector. */
 void encodeState(const GlobalState &s, const ModelConfig &mc,
                  std::vector<std::uint8_t> &out);
 
@@ -244,17 +267,19 @@ GlobalState permuteNodes(const GlobalState &s, const ModelConfig &mc,
  * encodeState() result over all permutations of the symmetric
  * (non-home) nodes. Node-permuted states therefore canonicalize to
  * byte-identical encodings.
+ *
+ * When @p bestPerm is set it receives the minimizing permutation
+ * (perm[original node] = canonical node) -- the explorer uses it to
+ * translate canonical-space actions back to a concrete state when
+ * reconstructing counterexample schedules.
  */
+void canonicalEncoding(
+    const GlobalState &s, const ModelConfig &mc, Encoding &out,
+    std::array<std::uint8_t, max_nodes> *bestPerm = nullptr);
+
+/** As above, into a vector. */
 void canonicalEncoding(const GlobalState &s, const ModelConfig &mc,
                        std::vector<std::uint8_t> &out);
-
-/** As above, additionally reporting the minimizing permutation in
- *  @p bestPerm (perm[original node] = canonical node) -- the explorer
- *  uses it to translate canonical-space actions back to a concrete
- *  state when reconstructing counterexample schedules. */
-void canonicalEncoding(const GlobalState &s, const ModelConfig &mc,
-                       std::vector<std::uint8_t> &out,
-                       std::array<std::uint8_t, max_nodes> *bestPerm);
 
 } // namespace cosmos::model
 

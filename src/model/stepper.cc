@@ -22,6 +22,7 @@ Stepper::Stepper(const ModelConfig &mc)
         dirs_.push_back(std::make_unique<proto::DirectoryController>(
             n, amap_, cfg_, table_, eq_, capture));
     }
+    stale_ = (1u << 2 * cfg_.numNodes) - 1; // nothing loaded yet
 }
 
 unsigned
@@ -65,119 +66,143 @@ Stepper::fromMsg(const proto::Msg &m) const
     return r;
 }
 
+std::uint32_t
+Stepper::bit(NodeId n, Module m)
+{
+    return 1u << (2 * n + (m == Module::directory ? 1 : 0));
+}
+
 void
 Stepper::load(const GlobalState &s)
 {
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-        cacheScratch_.lines.clear();
-        for (unsigned b = 0; b < mc_.numBlocks; ++b) {
-            const auto st = static_cast<proto::LineState>(s.line[n][b]);
-            if (st != proto::LineState::invalid)
-                cacheScratch_.lines.emplace_back(mc_.blockAddr(b), st);
-        }
-        cacheScratch_.invalResidue = s.invalResidue[n];
-        caches_[n]->restore(cacheScratch_);
-
-        dirScratch_.entries.clear();
-        for (unsigned b = 0; b < mc_.numBlocks; ++b) {
-            if (mc_.home(b) != n)
-                continue;
-            const DirEntryState &e = s.dir[b];
-            if (e.state == proto::DirState::idle && !e.busy)
-                continue;
-            proto::DirEntrySnapshot es;
-            es.block = mc_.blockAddr(b);
-            es.state = e.state;
-            es.sharers = e.sharers;
-            es.owner = e.owner == no_node ? invalid_node
-                                          : NodeId{e.owner};
-            es.busy = e.busy;
-            es.pendingAcks = e.pendingAcks;
-            es.genuineUpgrade = e.genuineUpgrade;
-            es.recall = e.recall;
-            es.fwdData = e.fwdData;
-            es.fwdAckPending = e.fwdAckPending;
-            es.current = toMsg(e.current);
-            for (unsigned i = 0; i < e.waiting.count; ++i)
-                es.waiting.push_back(toMsg(e.waiting.items[i]));
-            dirScratch_.entries.push_back(std::move(es));
-        }
-        dirs_[n]->restore(dirScratch_);
+        if ((stale_ & bit(n, Module::cache)) || !holdsCache(s, n))
+            restoreCache(s, n);
+        if ((stale_ & bit(n, Module::directory)) || !holdsDirectory(s, n))
+            restoreDirectory(s, n);
     }
+}
+
+bool
+Stepper::holdsCache(const GlobalState &s, NodeId n) const
+{
+    return s.line[n] == loaded_.line[n] &&
+           s.invalResidue[n] == loaded_.invalResidue[n];
+}
+
+bool
+Stepper::holdsDirectory(const GlobalState &s, NodeId n) const
+{
+    for (unsigned b = n; b < mc_.numBlocks; b += cfg_.numNodes)
+        if (!(s.dir[b] == loaded_.dir[b]))
+            return false;
+    return true;
 }
 
 void
-Stepper::readBack(GlobalState &out)
+Stepper::restoreCache(const GlobalState &s, NodeId n)
 {
-    for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-        for (unsigned b = 0; b < mc_.numBlocks; ++b)
-            out.line[n][b] =
-                static_cast<std::uint8_t>(proto::LineState::invalid);
-        caches_[n]->snapshot(cacheScratch_);
-        for (const auto &[block, st] : cacheScratch_.lines)
-            out.line[n][blockIdx(block)] =
-                static_cast<std::uint8_t>(st);
-        out.invalResidue[n] =
-            static_cast<std::uint8_t>(cacheScratch_.invalResidue);
-
-        dirs_[n]->snapshot(dirScratch_);
-        for (unsigned b = 0; b < mc_.numBlocks; ++b)
-            if (mc_.home(b) == n)
-                out.dir[b] = DirEntryState{};
-        for (const proto::DirEntrySnapshot &es : dirScratch_.entries) {
-            DirEntryState &e = out.dir[blockIdx(es.block)];
-            e.state = es.state;
-            e.sharers = static_cast<std::uint8_t>(es.sharers);
-            e.owner = es.owner == invalid_node
-                          ? no_node
-                          : static_cast<std::uint8_t>(es.owner);
-            e.busy = es.busy;
-            // Normalize fields that are only meaningful while the
-            // entry is mid-transaction: the live controller leaves
-            // the last transaction's request behind, and carrying it
-            // into the encoding would split identical protocol
-            // states.
-            if (es.busy) {
-                e.pendingAcks =
-                    static_cast<std::uint8_t>(es.pendingAcks);
-                e.genuineUpgrade = es.genuineUpgrade;
-                e.recall = es.recall;
-                e.fwdData = es.fwdData;
-                e.fwdAckPending = es.fwdAckPending;
-                if (!es.recall)
-                    e.current = fromMsg(es.current);
-            }
-            for (const proto::Msg &w : es.waiting)
-                e.waiting.push(fromMsg(w));
-        }
+    cacheScratch_.lines.clear();
+    for (unsigned b = 0; b < mc_.numBlocks; ++b) {
+        const auto st = static_cast<proto::LineState>(s.line[n][b]);
+        if (st != proto::LineState::invalid)
+            cacheScratch_.lines.emplace_back(mc_.blockAddr(b), st);
     }
+    cacheScratch_.invalResidue = s.invalResidue[n];
+    caches_[n]->restore(cacheScratch_);
+
+    loaded_.line[n] = s.line[n];
+    loaded_.invalResidue[n] = s.invalResidue[n];
+    stale_ &= ~bit(n, Module::cache);
 }
 
-DirAbstract
-Stepper::dirAbstract(const proto::DirEntrySnapshot &e) const
+void
+Stepper::restoreDirectory(const GlobalState &s, NodeId n)
 {
-    if (!e.busy)
-        return static_cast<DirAbstract>(e.state);
-    if (e.recall)
-        return DirAbstract::busy_recall;
-    return e.current.type == proto::MsgType::get_ro_request
-               ? DirAbstract::busy_read
-               : DirAbstract::busy_write;
+    // Fill the scratch entries in place so their waiting vectors
+    // keep their capacity from step to step.
+    std::size_t used = 0;
+    for (unsigned b = n; b < mc_.numBlocks; b += cfg_.numNodes) {
+        const DirEntryState &e = s.dir[b];
+        loaded_.dir[b] = e;
+        if (e.state == proto::DirState::idle && !e.busy)
+            continue;
+        if (used == dirScratch_.entries.size())
+            dirScratch_.entries.emplace_back();
+        proto::DirEntrySnapshot &es = dirScratch_.entries[used++];
+        es.block = mc_.blockAddr(b);
+        es.state = e.state;
+        es.sharers = e.sharers;
+        es.owner = e.owner == no_node ? invalid_node : NodeId{e.owner};
+        es.busy = e.busy;
+        es.pendingAcks = e.pendingAcks;
+        es.genuineUpgrade = e.genuineUpgrade;
+        es.recall = e.recall;
+        es.fwdData = e.fwdData;
+        es.fwdAckPending = e.fwdAckPending;
+        es.current = toMsg(e.current);
+        es.waiting.clear();
+        for (unsigned i = 0; i < e.waiting.count; ++i)
+            es.waiting.push_back(toMsg(e.waiting.items[i]));
+    }
+    dirScratch_.entries.resize(used);
+    dirs_[n]->restore(dirScratch_);
+    stale_ &= ~bit(n, Module::directory);
 }
 
-proto::DirEntrySnapshot
-Stepper::dirEntry(NodeId n, Addr block)
+void
+Stepper::readBackCache(NodeId n, GlobalState &out)
+{
+    for (unsigned b = 0; b < mc_.numBlocks; ++b)
+        out.line[n][b] = static_cast<std::uint8_t>(proto::LineState::invalid);
+    caches_[n]->snapshot(cacheScratch_);
+    for (const auto &[block, st] : cacheScratch_.lines)
+        out.line[n][blockIdx(block)] = static_cast<std::uint8_t>(st);
+    out.invalResidue[n] =
+        static_cast<std::uint8_t>(cacheScratch_.invalResidue);
+}
+
+void
+Stepper::readBackDirectory(NodeId n, GlobalState &out)
 {
     dirs_[n]->snapshot(dirScratch_);
-    for (const proto::DirEntrySnapshot &es : dirScratch_.entries)
-        if (es.block == block)
-            return es;
-    return proto::DirEntrySnapshot{};
+    for (unsigned b = n; b < mc_.numBlocks; b += cfg_.numNodes)
+        out.dir[b] = DirEntryState{};
+    for (const proto::DirEntrySnapshot &es : dirScratch_.entries) {
+        DirEntryState &e = out.dir[blockIdx(es.block)];
+        e.state = es.state;
+        e.sharers = static_cast<std::uint8_t>(es.sharers);
+        e.owner = es.owner == invalid_node
+                      ? no_node
+                      : static_cast<std::uint8_t>(es.owner);
+        e.busy = es.busy;
+        // Normalize fields that are only meaningful while the entry
+        // is mid-transaction: the live controller leaves the last
+        // transaction's request behind, and carrying it into the
+        // encoding would split identical protocol states.
+        if (es.busy) {
+            e.pendingAcks = static_cast<std::uint8_t>(es.pendingAcks);
+            e.genuineUpgrade = es.genuineUpgrade;
+            e.recall = es.recall;
+            e.fwdData = es.fwdData;
+            e.fwdAckPending = es.fwdAckPending;
+            if (!es.recall)
+                e.current = fromMsg(es.current);
+        }
+        for (const proto::Msg &w : es.waiting)
+            e.waiting.push(fromMsg(w));
+    }
 }
 
 void
-Stepper::drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
-                   GlobalState &work, NodeId handled)
+Stepper::touch(NodeId n, Module m)
+{
+    touched_ |= bit(n, m);
+    stale_ |= bit(n, m);
+}
+
+void
+Stepper::drainInto(Sample &sample, GlobalState &work, NodeId handled)
 {
     while (eq_.pending())
         eq_.runOne();
@@ -186,53 +211,26 @@ Stepper::drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
                       "message emitted by a module other than the "
                       "handled one: ",
                       m.format());
-        sample.emissions.push_back(m.type);
+        sample.emit(m.type);
         if (m.src == m.dst)
-            worklist.push_back(m);
+            worklist_.push_back(m);
         else
             work.channel(m.src, m.dst).push(fromMsg(m));
     }
     captured_.clear();
 }
 
-namespace
-{
-
-/** The guard-relevant slice of a pre-handler entry snapshot, in the
- *  shape the transition table's guard predicates are declared over.
- *  DirectoryController::guardView builds the identical view from the
- *  live Entry, so the stepper and the dispatch derive the same
- *  guards. */
-proto::DirGuardView
-viewOf(const proto::DirEntrySnapshot &e)
-{
-    proto::DirGuardView v;
-    v.busy = e.busy;
-    v.state = static_cast<std::uint8_t>(e.state);
-    v.sharers = e.sharers;
-    v.pendingAcks = e.pendingAcks;
-    v.genuineUpgrade = e.genuineUpgrade;
-    v.recall = e.recall;
-    v.fwdData = e.fwdData;
-    v.fwdAckPending = e.fwdAckPending;
-    v.waitingEmpty = e.waiting.empty();
-    v.currentType = e.current.type;
-    return v;
-}
-
-} // namespace
-
 void
-Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
-                    GlobalState &work)
+Stepper::runCascade(Result &out)
 {
-    std::size_t at = 0;
-    while (at < worklist.size()) {
-        const proto::Msg m = worklist[at++];
+    GlobalState &work = out.next;
+    for (std::size_t at = 0; at < worklist_.size();) {
+        const proto::Msg m = worklist_[at++];
         Sample sample;
+        sample.input = static_cast<std::uint8_t>(m.type);
         if (receiverRole(m.type) == proto::Role::cache) {
             sample.module = Module::cache;
-            sample.input = static_cast<std::uint8_t>(m.type);
+            touch(m.dst, Module::cache);
             sample.pre = static_cast<std::uint8_t>(
                 caches_[m.dst]->state(m.block));
             // The guard bits are exactly what the controller's own
@@ -241,36 +239,33 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
             // their canonical rendering is the sample context, so the
             // extracted rows stay deterministic and the consistency
             // diff can match samples back to declared rows.
-            const proto::GuardBits guard = proto::cacheMsgGuard(m);
-            sample.context = proto::guardContext(guard);
+            sample.guard = proto::cacheMsgGuard(m);
             sample.row = table_.find(proto::Role::cache, sample.pre,
-                                     sample.input, guard);
+                                     sample.input, sample.guard);
             caches_[m.dst]->handleMessage(m);
-            drainInto(sample, worklist, work, m.dst);
+            drainInto(sample, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
                 caches_[m.dst]->state(m.block));
         } else {
             sample.module = Module::directory;
-            sample.input = static_cast<std::uint8_t>(m.type);
-            const proto::DirEntrySnapshot pre = dirEntry(m.dst, m.block);
-            sample.pre = static_cast<std::uint8_t>(dirAbstract(pre));
+            touch(m.dst, Module::directory);
+            const proto::DirGuardView pre = dirs_[m.dst]->entryView(m.block);
+            sample.pre = static_cast<std::uint8_t>(proto::dirPhaseOf(pre));
             // Same single source of truth as the cache branch: the
             // guard predicates over the directory's hidden state (ack
             // counts, the genuineUpgrade latch, forward-in-flight
             // flags, the FIFO backlog) live in dirMsgGuard.
-            const proto::GuardBits guard =
-                proto::dirMsgGuard(viewOf(pre), m.type, m.src);
-            sample.context = proto::guardContext(guard);
+            sample.guard = proto::dirMsgGuard(pre, m.type, m.src);
             sample.row = table_.find(proto::Role::directory,
-                                     sample.pre, sample.input, guard);
+                                     sample.pre, sample.input,
+                                     sample.guard);
             dirs_[m.dst]->handleMessage(m);
-            drainInto(sample, worklist, work, m.dst);
+            drainInto(sample, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
-                dirAbstract(dirEntry(m.dst, m.block)));
+                proto::dirPhaseOf(dirs_[m.dst]->entryView(m.block)));
         }
-        out.samples.push_back(std::move(sample));
+        out.samples.push_back(sample);
     }
-    worklist.clear();
 }
 
 void
@@ -282,9 +277,11 @@ Stepper::step(const GlobalState &s, const Action &a, Result &out)
 
     load(s);
     captured_.clear();
+    worklist_.clear();
+    touched_ = 0;
 
-    GlobalState work = s;
-    std::vector<proto::Msg> worklist;
+    GlobalState &work = out.next;
+    work = s;
 
     FailureTrap trap;
     try {
@@ -294,27 +291,32 @@ Stepper::step(const GlobalState &s, const Action &a, Result &out)
             cosmos_assert(taken == a.msg,
                           "deliver action does not match the channel "
                           "contents");
-            worklist.push_back(toMsg(taken));
+            worklist_.push_back(toMsg(taken));
         } else {
             const bool write = a.kind == Action::Kind::issue_write;
+            const Addr addr = mc_.blockAddr(a.blockIdx);
             Sample sample;
             sample.module = Module::cache;
             sample.input = write ? input_proc_write : input_proc_read;
-            const Addr addr = mc_.blockAddr(a.blockIdx);
+            touch(a.node, Module::cache);
             sample.pre = static_cast<std::uint8_t>(
                 caches_[a.node]->state(addr));
             sample.row =
                 table_.find(proto::Role::cache, sample.pre,
                             sample.input, proto::guard_none);
             caches_[a.node]->access(addr, write, []() {});
-            drainInto(sample, worklist, work, a.node);
+            drainInto(sample, work, a.node);
             sample.post = static_cast<std::uint8_t>(
                 caches_[a.node]->state(addr));
-            out.samples.push_back(std::move(sample));
+            out.samples.push_back(sample);
         }
-        runCascade(out, worklist, work);
-        readBack(work);
-        out.next = work;
+        runCascade(out);
+        for (NodeId n = 0; n < cfg_.numNodes; ++n) {
+            if (touched_ & bit(n, Module::cache))
+                readBackCache(n, work);
+            if (touched_ & bit(n, Module::directory))
+                readBackDirectory(n, work);
+        }
     } catch (const RecoverableError &e) {
         out.failed = true;
         out.failureMsg = detail::concat(e.what(), " (", e.file(), ":",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
+#include <tuple>
 
 #include "common/log.hh"
 
@@ -89,54 +90,150 @@ TableKey::format() const
     std::string s = detail::concat(toString(module), " ",
                                    stateName(module, state), " x ",
                                    inputName(input));
-    if (!context.empty())
-        s += detail::concat(" [", context, "]");
+    if (guard != proto::guard_none)
+        s += detail::concat(" [", context(), "]");
     return s;
+}
+
+void
+Sample::emit(proto::MsgType t)
+{
+    cosmos_assert(numEmissions < max_emissions,
+                  "handler emitted more than ", max_emissions,
+                  " messages");
+    emissions[numEmissions++] = t;
+}
+
+std::vector<proto::MsgType>
+Outcome::emissions() const
+{
+    std::vector<proto::MsgType> types;
+    for (unsigned t = 0; t < proto::num_msg_types; ++t)
+        if (emits & (1u << t))
+            types.push_back(static_cast<proto::MsgType>(t));
+    return types;
 }
 
 std::string
 Outcome::format(Module module) const
 {
     std::string s = detail::concat("-> ", stateName(module, next));
-    if (!emissions.empty()) {
+    if (emits != 0) {
         s += " !";
-        for (proto::MsgType t : emissions)
+        for (proto::MsgType t : emissions())
             s += detail::concat(" ", proto::toString(t));
     }
     return s;
 }
 
+namespace
+{
+
+/** Report order of outcomes: by next state, then by the ascending
+ *  emission lists compared lexicographically. */
+bool
+outcomeLess(const Outcome &a, const Outcome &b)
+{
+    if (a.next != b.next)
+        return a.next < b.next;
+    const unsigned diff = a.emits ^ b.emits;
+    if (diff == 0)
+        return false;
+    // The lists agree below the lowest type where they part. The one
+    // holding that type continues with it; the other continues with
+    // a higher type (and is greater) or ends (and is a prefix).
+    const unsigned low = diff & (~diff + 1);
+    const unsigned above = ~((low << 1) - 1);
+    if (a.emits & low)
+        return (b.emits & above) != 0;
+    return (a.emits & above) == 0;
+}
+
+std::uint64_t
+packKey(Module module, std::uint8_t state, std::uint8_t input,
+        proto::GuardBits guard)
+{
+    return std::uint64_t{guard} |
+           std::uint64_t{input} << 32 |
+           std::uint64_t{state} << 40 |
+           std::uint64_t{static_cast<std::uint8_t>(module)} << 48;
+}
+
+std::uint16_t
+emissionMask(std::span<const proto::MsgType> types)
+{
+    std::uint16_t mask = 0;
+    for (proto::MsgType t : types)
+        mask |= static_cast<std::uint16_t>(1u << static_cast<unsigned>(t));
+    return mask;
+}
+
+/** More than one outcome, and not a backlog entry: those aggregate
+ *  over the queued requests, and their outcome legitimately depends
+ *  on what was waiting. */
+bool
+nondeterministic(const TableEntry &e)
+{
+    return e.outcomes.size() > 1 &&
+           !(e.key.guard & (proto::guard_q | proto::guard_queued));
+}
+
+} // namespace
+
 void
 TransitionTable::record(const Sample &s)
 {
-    TableKey key;
-    key.module = s.module;
-    key.state = s.pre;
-    key.input = s.input;
-    key.context = s.context;
+    const std::uint64_t packed =
+        packKey(s.module, s.pre, s.input, s.guard);
+    const std::uint32_t *at = index_.find(packed);
+    TableEntry *e;
+    if (at != nullptr) {
+        e = &entries_[*at];
+    } else {
+        index_.insert(packed,
+                      static_cast<std::uint32_t>(entries_.size()));
+        e = &entries_.emplace_back();
+        e->key = TableKey{s.module, s.pre, s.input, s.guard};
+    }
+    ++e->hits;
 
-    Outcome o;
-    o.next = s.post;
-    o.emissions = s.emissions;
-    std::sort(o.emissions.begin(), o.emissions.end());
-    o.emissions.erase(
-        std::unique(o.emissions.begin(), o.emissions.end()),
-        o.emissions.end());
+    const Outcome o{s.post, emissionMask(s.emitted())};
+    const auto pos = std::lower_bound(e->outcomes.begin(),
+                                      e->outcomes.end(), o, outcomeLess);
+    if (pos == e->outcomes.end() || !(*pos == o))
+        e->outcomes.insert(pos, o);
+}
 
-    TableEntry &e = entries_[key];
-    e.outcomes.insert(std::move(o));
-    ++e.hits;
+std::vector<const TableEntry *>
+TransitionTable::entries() const
+{
+    std::vector<std::pair<std::string, const TableEntry *>> keyed;
+    keyed.reserve(entries_.size());
+    for (const TableEntry &e : entries_)
+        keyed.emplace_back(e.key.context(), &e);
+    std::sort(keyed.begin(), keyed.end(),
+              [](const auto &a, const auto &b) {
+                  const TableKey &x = a.second->key;
+                  const TableKey &y = b.second->key;
+                  return std::tie(x.module, x.state, x.input, a.first) <
+                         std::tie(y.module, y.state, y.input, b.first);
+              });
+    std::vector<const TableEntry *> out;
+    out.reserve(keyed.size());
+    for (const auto &k : keyed)
+        out.push_back(k.second);
+    return out;
 }
 
 std::set<std::uint8_t>
 TransitionTable::observedStates(Module m) const
 {
     std::set<std::uint8_t> st;
-    for (const auto &[key, entry] : entries_) {
-        if (key.module != m)
+    for (const TableEntry &e : entries_) {
+        if (e.key.module != m)
             continue;
-        st.insert(key.state);
-        for (const Outcome &o : entry.outcomes)
+        st.insert(e.key.state);
+        for (const Outcome &o : e.outcomes)
             st.insert(o.next);
     }
     return st;
@@ -146,15 +243,9 @@ std::vector<const TableKey *>
 TransitionTable::nondeterministicKeys() const
 {
     std::vector<const TableKey *> keys;
-    for (const auto &[key, entry] : entries_) {
-        if (entry.outcomes.size() <= 1)
-            continue;
-        // "q" entries aggregate over the queued-request backlog;
-        // their outcome legitimately depends on what was waiting.
-        if (key.context.find('q') != std::string::npos)
-            continue;
-        keys.push_back(&key);
-    }
+    for (const TableEntry *e : entries())
+        if (nondeterministic(*e))
+            keys.push_back(&e->key);
     return keys;
 }
 
@@ -175,6 +266,7 @@ std::vector<LintFinding>
 TransitionTable::lint() const
 {
     std::vector<LintFinding> findings;
+    const std::vector<const TableEntry *> rows = entries();
 
     for (Module m : {Module::cache, Module::directory}) {
         const std::set<std::uint8_t> observed = observedStates(m);
@@ -192,9 +284,9 @@ TransitionTable::lint() const
         // somewhere get one finding per observed state that never
         // receives them.
         std::set<std::uint8_t> observedInputs;
-        for (const auto &[key, entry] : entries_)
-            if (key.module == m)
-                observedInputs.insert(key.input);
+        for (const TableEntry *e : rows)
+            if (e->key.module == m)
+                observedInputs.insert(e->key.input);
 
         for (std::uint8_t in : moduleInputs(m)) {
             if (!observedInputs.count(in)) {
@@ -206,9 +298,9 @@ TransitionTable::lint() const
             }
             for (std::uint8_t st : observed) {
                 bool seen = false;
-                for (const auto &[key, entry] : entries_) {
-                    if (key.module == m && key.state == st &&
-                        key.input == in) {
+                for (const TableEntry *e : rows) {
+                    if (e->key.module == m && e->key.state == st &&
+                        e->key.input == in) {
                         seen = true;
                         break;
                     }
@@ -229,14 +321,15 @@ TransitionTable::lint() const
     // one may emit a data response. A violation here means
     // DirectoryController::forward() started marking ro-sweeps
     // `forwarded`, which the fwd_ack handshake does not cover.
-    for (const auto &[key, entry] : entries_) {
+    for (const TableEntry *e : rows) {
+        const TableKey &key = e->key;
         if (key.module != Module::cache ||
             key.input != static_cast<std::uint8_t>(
                              proto::MsgType::inval_ro_request)) {
             continue;
         }
-        for (const Outcome &o : entry.outcomes) {
-            for (proto::MsgType t : o.emissions) {
+        for (const Outcome &o : e->outcomes) {
+            for (proto::MsgType t : o.emissions()) {
                 if (t == proto::MsgType::get_ro_response ||
                     t == proto::MsgType::get_rw_response) {
                     findings.push_back(
@@ -251,17 +344,18 @@ TransitionTable::lint() const
         }
     }
 
-    for (const TableKey *key : nondeterministicKeys()) {
-        const TableEntry &e = entries_.at(*key);
+    for (const TableEntry *e : rows) {
+        if (!nondeterministic(*e))
+            continue;
         std::string nexts;
-        for (const Outcome &o : e.outcomes) {
+        for (const Outcome &o : e->outcomes) {
             if (!nexts.empty())
                 nexts += ", ";
-            nexts += stateName(key->module, o.next);
+            nexts += stateName(e->key.module, o.next);
         }
         findings.push_back(
-            {LintFinding::Kind::nondeterministic, key->module,
-             detail::concat(key->format(), " has ", e.outcomes.size(),
+            {LintFinding::Kind::nondeterministic, e->key.module,
+             detail::concat(e->key.format(), " has ", e->outcomes.size(),
                             " outcomes (next states: {", nexts, "})")});
     }
 
@@ -284,14 +378,13 @@ TransitionTable::diffAgainstDeclared(
     const proto::ProtocolTable &declared) const
 {
     std::vector<ConsistencyFinding> findings;
-    for (const auto &[key, entry] : entries_) {
+    for (const TableEntry *e : entries()) {
+        const TableKey &key = e->key;
         const proto::Role role = key.module == Module::cache
                                      ? proto::Role::cache
                                      : proto::Role::directory;
-        const proto::GuardBits guard =
-            proto::guardFromContext(key.context);
         const proto::TransitionRow *row =
-            declared.find(role, key.state, key.input, guard);
+            declared.find(role, key.state, key.input, key.guard);
         if (!row) {
             findings.push_back(
                 {ConsistencyFinding::Kind::undeclared_transition,
@@ -312,18 +405,13 @@ TransitionTable::diffAgainstDeclared(
         }
         // A completing row serviced from the backlog folds the
         // re-served request's transition into the same sample.
-        if (row->completes && (guard & proto::guard_q))
+        if (row->completes && (key.guard & proto::guard_q))
             continue;
 
-        std::vector<proto::MsgType> want = row->emits;
-        std::sort(want.begin(), want.end());
-        want.erase(std::unique(want.begin(), want.end()), want.end());
-        for (const Outcome &o : entry.outcomes) {
-            if (o.next == row->next && o.emissions == want)
+        const Outcome decl{row->next, emissionMask(row->emits)};
+        for (const Outcome &o : e->outcomes) {
+            if (o == decl)
                 continue;
-            Outcome decl;
-            decl.next = row->next;
-            decl.emissions = want;
             findings.push_back(
                 {ConsistencyFinding::Kind::outcome_mismatch,
                  key.module,
@@ -342,21 +430,22 @@ TransitionTable::format() const
     std::ostringstream os;
     Module last = Module::directory;
     bool first = true;
-    for (const auto &[key, entry] : entries_) {
+    for (const TableEntry *e : entries()) {
+        const TableKey &key = e->key;
         if (first || key.module != last) {
             os << (first ? "" : "\n") << toString(key.module)
                << " transitions:\n";
             last = key.module;
             first = false;
         }
-        for (const Outcome &o : entry.outcomes) {
+        for (const Outcome &o : e->outcomes) {
             os << "  " << std::left << std::setw(52)
                << key.format().substr(
                       std::string(toString(key.module)).size() + 1)
                << " " << o.format(key.module);
-            if (entry.outcomes.size() > 1)
-                os << "  (1 of " << entry.outcomes.size() << ")";
-            os << "  [" << entry.hits << " hits]\n";
+            if (e->outcomes.size() > 1)
+                os << "  (1 of " << e->outcomes.size() << ")";
+            os << "  [" << e->hits << " hits]\n";
         }
     }
     return os.str();

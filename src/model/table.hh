@@ -18,9 +18,10 @@
  *  - nondeterministic entries (one key observed with more than one
  *    (next state, emission signature) outcome).
  *
- * Entries whose context carries the "q" tag aggregate over the
- * directory's queued-request backlog, whose contents legitimately
- * vary; their nondeterminism is expected and whitelisted. Any *other*
+ * Entries whose context carries a backlog tag ("q", or "queued" for
+ * a request joining the backlog) aggregate over the directory's
+ * queued requests, whose contents legitimately vary; their
+ * nondeterminism is expected and whitelisted. Any *other*
  * nondeterministic entry is a red flag -- the planted
  * lost-invalidation bug, for instance, shows up as
  * (cache, read_only, inval_ro_request) -> {invalid, read_only}.
@@ -29,12 +30,14 @@
 #ifndef COSMOS_MODEL_TABLE_HH
 #define COSMOS_MODEL_TABLE_HH
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "proto/cache_controller.hh"
 #include "proto/directory_controller.hh"
 #include "proto/messages.hh"
@@ -78,6 +81,13 @@ constexpr unsigned num_inputs = 15;
 /** Printable input name ("get_ro_request", "proc_read", ...). */
 const char *inputName(std::uint8_t input);
 
+/** Most messages one handler invocation may emit. A directory
+ *  handler that serves its backlog emits one response per request it
+ *  serves and one invalidation per other node; at the model's bounds
+ *  (max_nodes nodes, one outstanding request each) that stays well
+ *  below this. */
+constexpr unsigned max_emissions = 16;
+
 /** One observed handler invocation. */
 struct Sample
 {
@@ -85,12 +95,25 @@ struct Sample
     std::uint8_t pre = 0;  ///< LineState or DirAbstract
     std::uint8_t post = 0; ///< LineState or DirAbstract
     std::uint8_t input = 0;
-    std::string context;
-    std::vector<proto::MsgType> emissions;
+    /** The guard bits the dispatch derived; the sample's context tag
+     *  is their proto::guardContext rendering. */
+    proto::GuardBits guard = proto::guard_none;
+    /** Emitted message types, in emission order. */
+    std::uint8_t numEmissions = 0;
+    std::array<proto::MsgType, max_emissions> emissions{};
     /** The declared table row the dispatch matched (nullptr when no
      *  row covers the sample -- itself a consistency finding). Points
      *  into the stepper's ProtocolTable; valid for its lifetime. */
     const proto::TransitionRow *row = nullptr;
+
+    /** Append one emitted message type. */
+    void emit(proto::MsgType t);
+
+    /** The emitted message types, in emission order. */
+    std::span<const proto::MsgType> emitted() const
+    {
+        return {emissions.data(), numEmissions};
+    }
 };
 
 /** Key of one table row. */
@@ -99,24 +122,33 @@ struct TableKey
     Module module{};
     std::uint8_t state = 0;
     std::uint8_t input = 0;
-    std::string context;
+    proto::GuardBits guard = proto::guard_none;
 
-    auto operator<=>(const TableKey &) const = default;
+    /** The context tag: the guard's '+'-joined rendering ("fwd+rw"),
+     *  empty for no guard. */
+    std::string context() const { return proto::guardContext(guard); }
 
     /** "cache read_only x inval_ro_request" (plus context). */
     std::string format() const;
 };
 
+static_assert(proto::num_msg_types <= 16,
+              "Outcome::emits holds one bit per message type");
+
 /** One observed outcome of a row. */
 struct Outcome
 {
     std::uint8_t next = 0;
-    /** Sorted distinct emitted message types; multiplicities are
-     *  abstracted away (a directory invalidating two sharers emits
-     *  the same signature as one invalidating a single sharer). */
-    std::vector<proto::MsgType> emissions;
+    /** Distinct emitted message types, bit t for MsgType t;
+     *  multiplicities are abstracted away (a directory invalidating
+     *  two sharers emits the same signature as one invalidating a
+     *  single sharer). */
+    std::uint16_t emits = 0;
 
-    auto operator<=>(const Outcome &) const = default;
+    bool operator==(const Outcome &) const = default;
+
+    /** The emitted types in ascending order. */
+    std::vector<proto::MsgType> emissions() const;
 
     std::string format(Module module) const;
 };
@@ -124,7 +156,10 @@ struct Outcome
 /** Aggregated row: every outcome ever observed for the key. */
 struct TableEntry
 {
-    std::set<Outcome> outcomes;
+    TableKey key;
+    /** Distinct outcomes, ordered by next state, then by the sorted
+     *  emission list compared lexicographically. */
+    std::vector<Outcome> outcomes;
     std::uint64_t hits = 0;
 };
 
@@ -187,18 +222,19 @@ class TransitionTable
     /** Fold one stepper sample into the table. */
     void record(const Sample &s);
 
-    const std::map<TableKey, TableEntry> &entries() const
-    {
-        return entries_;
-    }
+    /**
+     * Every entry in report order: by module, state, input, then
+     * context tag. The pointers stay valid until the next record().
+     */
+    std::vector<const TableEntry *> entries() const;
 
     /** Distinct states observed per module (pre or post). */
     std::set<std::uint8_t> observedStates(Module m) const;
 
     /**
      * Rows with more than one outcome whose context does not carry
-     * the "q" backlog tag (those aggregate over queued requests and
-     * are legitimately multi-outcome).
+     * a backlog tag ("q", or "queued"): those aggregate over queued
+     * requests and are legitimately multi-outcome.
      */
     std::vector<const TableKey *> nondeterministicKeys() const;
 
@@ -206,12 +242,11 @@ class TransitionTable
     std::vector<LintFinding> lint() const;
 
     /**
-     * Diff every extracted entry against @p declared: re-derive the
-     * guard from the entry's context tag (guardContext and
-     * guardFromContext are inverses), look the row up the way the
-     * controllers dispatch, and compare the declared (next, emits)
-     * against every observed outcome. Completing rows serviced from
-     * the "q" backlog are exempt from the outcome comparison -- the
+     * Diff every extracted entry against @p declared: look the row
+     * up the way the controllers dispatch, with the entry's guard
+     * bits, and compare the declared (next, emits) against every
+     * observed outcome. Completing rows serviced from the "q"
+     * backlog are exempt from the outcome comparison -- the
      * directory re-serves the queued request inside the same atomic
      * step, so the sample's post state and emissions include the
      * follow-on transaction by design.
@@ -223,7 +258,10 @@ class TransitionTable
     std::string format() const;
 
   private:
-    std::map<TableKey, TableEntry> entries_;
+    /** Entries in first-seen order. */
+    std::vector<TableEntry> entries_;
+    /** Packed (module, state, input, guard) -> index into entries_. */
+    FlatMap<std::uint64_t, std::uint32_t> index_;
 };
 
 } // namespace cosmos::model

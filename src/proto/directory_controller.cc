@@ -116,15 +116,18 @@ DirectoryController::forEachEntry(
 void
 DirectoryController::snapshot(DirectorySnapshot &out) const
 {
-    out.entries.clear();
-    out.entries.reserve(entries_.size());
+    // Overwrite out's entries in place, so their waiting vectors keep
+    // their capacity across repeated snapshots.
+    std::size_t used = 0;
     entries_.forEach([&](Addr block, const Entry &e) {
         // Idle quiescent entries are indistinguishable from absent
         // ones (state() and busy() default them); dropping them keeps
         // snapshots of equal states byte-equal.
         if (e.state == DirState::idle && !e.busy)
             return;
-        DirEntrySnapshot s;
+        if (used == out.entries.size())
+            out.entries.emplace_back();
+        DirEntrySnapshot &s = out.entries[used++];
         s.block = block;
         s.state = e.state;
         s.sharers = e.sharers;
@@ -137,12 +140,21 @@ DirectoryController::snapshot(DirectorySnapshot &out) const
         s.fwdAckPending = e.fwdAckPending;
         s.current = e.current;
         s.waiting = e.waiting;
-        out.entries.push_back(std::move(s));
     });
+    out.entries.resize(used);
     std::sort(out.entries.begin(), out.entries.end(),
               [](const DirEntrySnapshot &a, const DirEntrySnapshot &b) {
                   return a.block < b.block;
               });
+}
+
+DirGuardView
+DirectoryController::entryView(Addr block) const
+{
+    const Entry *e = entries_.find(block);
+    if (e == nullptr || (e->state == DirState::idle && !e->busy))
+        return DirGuardView{};
+    return guardView(*e);
 }
 
 void

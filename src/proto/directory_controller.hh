@@ -203,6 +203,14 @@ class DirectoryController
     /** Capture the protocol state into @p out (stats excluded). */
     void snapshot(DirectorySnapshot &out) const;
 
+    /**
+     * The guard view of @p block's entry as snapshot() records it (an
+     * idle, quiescent entry reads as absent), without copying the
+     * directory or creating the entry. The model stepper derives its
+     * samples' pre/post phase and guard bits from it.
+     */
+    DirGuardView entryView(Addr block) const;
+
     /** Replace the protocol state with @p s (stats untouched). */
     void restore(const DirectorySnapshot &s);
 

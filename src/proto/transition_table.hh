@@ -38,9 +38,9 @@
  *
  * Guards are small orthogonal predicates over module-local hidden
  * state (directory ack counts, FIFO backlog, the forwarded mark on a
- * message). Their '+'-joined rendering reproduces the model stepper's
- * context tags byte-for-byte, which is what lets the consistency diff
- * match extracted samples to declared rows.
+ * message). The model stepper records the guard bits each dispatch
+ * derived, and the consistency diff looks its samples up by those
+ * bits, exactly as the controllers dispatch.
  */
 
 #ifndef COSMOS_PROTO_TRANSITION_TABLE_HH
@@ -91,10 +91,8 @@ constexpr unsigned num_table_inputs = num_msg_types + 2;
 const char *tableInputName(std::uint8_t input);
 
 /**
- * Guard predicates, one bit each. The canonical rendering order in
- * guardContext() matches the append order of the model stepper's
- * context tags, so `guardContext(bits)` reproduces a stepper context
- * string exactly and `guardFromContext` inverts it.
+ * Guard predicates, one bit each. guardContext() renders them in a
+ * fixed order as the context tag reports and lint findings print.
  */
 using GuardBits = std::uint32_t;
 constexpr GuardBits guard_none = 0;

@@ -112,6 +112,113 @@ TEST(Stepper, HomeNodeAccessCompletesLocallyInOneStep)
     EXPECT_GE(r.samples.size(), 3u);
 }
 
+/** Index of @p row in @p stepper's declared table (-1 for none), so
+ *  samples of two steppers, each with its own table, compare. */
+long
+rowIndex(const model::Stepper &stepper, const proto::TransitionRow *row)
+{
+    return row == nullptr ? -1 : row - stepper.table().rows().data();
+}
+
+/**
+ * Walk @p mc's space the way the explorer does (BFS over canonical
+ * states, every action of a state stepped in a row) and step every
+ * (state, action) pair through one long-lived Stepper, which keeps
+ * its controllers loaded between steps, and through a freshly built
+ * one. Their results must agree field for field. Failed steps are
+ * terminal; violating states are expanded too. Returns the number of
+ * transitions compared.
+ */
+std::size_t
+expectReusedMatchesFresh(const model::ModelConfig &mc)
+{
+    model::Stepper reused(mc);
+    std::set<std::vector<std::uint8_t>> seen;
+    std::deque<model::GlobalState> frontier;
+    std::vector<std::uint8_t> enc;
+    model::canonicalEncoding(model::Stepper::initialState(), mc, enc);
+    seen.insert(enc);
+    frontier.push_back(model::Stepper::initialState());
+
+    std::size_t transitions = 0;
+    std::vector<model::Action> actions;
+    model::Stepper::Result got, want;
+    while (!frontier.empty()) {
+        const model::GlobalState s = frontier.front();
+        frontier.pop_front();
+        model::enumerateActions(s, mc, actions);
+        for (const model::Action &a : actions) {
+            reused.step(s, a, got);
+            model::Stepper fresh(mc);
+            fresh.step(s, a, want);
+            ++transitions;
+
+            const std::string where = a.format();
+            EXPECT_EQ(got.failed, want.failed) << where;
+            EXPECT_EQ(got.failureMsg, want.failureMsg) << where;
+            std::vector<std::uint8_t> gotNext, wantNext;
+            model::encodeState(got.next, mc, gotNext);
+            model::encodeState(want.next, mc, wantNext);
+            EXPECT_EQ(gotNext, wantNext) << where;
+            EXPECT_EQ(got.samples.size(), want.samples.size()) << where;
+            for (std::size_t i = 0; i < got.samples.size() &&
+                                    i < want.samples.size();
+                 ++i) {
+                const model::Sample &g = got.samples[i];
+                const model::Sample &w = want.samples[i];
+                EXPECT_EQ(g.module, w.module) << where;
+                EXPECT_EQ(g.pre, w.pre) << where;
+                EXPECT_EQ(g.post, w.post) << where;
+                EXPECT_EQ(g.input, w.input) << where;
+                EXPECT_EQ(proto::guardContext(g.guard),
+                          proto::guardContext(w.guard))
+                    << where;
+                EXPECT_TRUE(std::ranges::equal(g.emitted(), w.emitted()))
+                    << where;
+                EXPECT_EQ(rowIndex(reused, g.row), rowIndex(fresh, w.row))
+                    << where;
+            }
+            if (::testing::Test::HasFailure())
+                return transitions; // one diverging step says enough
+            if (got.failed)
+                continue;
+            model::canonicalEncoding(got.next, mc, enc);
+            if (seen.insert(enc).second) {
+                model::GlobalState canon;
+                model::decodeState(enc.data(), enc.size(), mc, canon);
+                frontier.push_back(canon);
+            }
+        }
+    }
+    return transitions;
+}
+
+TEST(Stepper, ReusedMatchesFreshOnEveryTransition)
+{
+    // The forwarding space: every transition of the pinned 883-state
+    // closure.
+    model::ModelConfig fwd = threeNodes();
+    fwd.forwarding = true;
+    EXPECT_EQ(expectReusedMatchesFresh(fwd), 2149u);
+
+    // Reordering traps assertions mid-handler, which leaves the
+    // controllers dirty for the next step.
+    model::ModelConfig reorder = twoNodes();
+    reorder.reorder = 1;
+    EXPECT_GT(expectReusedMatchesFresh(reorder), 0u);
+
+    // The planted fault keeps a per-node residue (invalResidue) in
+    // the node slice.
+    model::ModelConfig fault = twoNodes();
+    fault.ignoreInvalEvery = 1;
+    EXPECT_GT(expectReusedMatchesFresh(fault), 0u);
+
+    model::ModelConfig legacy = threeNodes();
+    legacy.forwarding = true;
+    legacy.legacyForwarding = true;
+    EXPECT_GT(expectReusedMatchesFresh(legacy), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Canonicalization (symmetry reduction)
 
@@ -207,6 +314,23 @@ TEST(Explore, ThreeNodeSpaceIsCleanWithGoldenCounts)
     EXPECT_EQ(res.transitions, 1152u);
     EXPECT_EQ(res.maxDepth, 15u);
     EXPECT_TRUE(res.table.nondeterministicKeys().empty());
+}
+
+TEST(Explore, ThreeNodeTwoBlockSpaceIsCleanWithGoldenCounts)
+{
+    model::ExploreOptions opt;
+    opt.mc = threeNodes();
+    opt.mc.numBlocks = 2;
+    const model::ExploreResult res = model::explore(opt);
+
+    EXPECT_TRUE(res.clean());
+    EXPECT_TRUE(res.complete);
+    EXPECT_EQ(res.states, 51297u);
+    EXPECT_EQ(res.transitions, 151392u);
+    EXPECT_EQ(res.maxDepth, 25u);
+    EXPECT_EQ(res.failedSteps, 0u);
+    EXPECT_TRUE(res.table.nondeterministicKeys().empty());
+    EXPECT_TRUE(res.consistent());
 }
 
 TEST(Explore, ForwardingTwoNodeSpaceIsCleanWithGoldenCounts)
@@ -757,9 +881,10 @@ TEST(Lint, ForwardingAsymmetryHoldsInForwardedSpaces)
     // The cache rows that do emit forwarded data carry the "fwd"
     // context on recall inputs, never on the ro sweep.
     bool sawForwardedRecallRow = false;
-    for (const auto &[key, entry] : res.table.entries()) {
+    for (const model::TableEntry *entry : res.table.entries()) {
+        const model::TableKey &key = entry->key;
         if (key.module == model::Module::cache &&
-            key.context.find("fwd") != std::string::npos) {
+            (key.guard & proto::guard_fwd)) {
             EXPECT_NE(key.input,
                       static_cast<std::uint8_t>(
                           proto::MsgType::inval_ro_request))
@@ -779,9 +904,9 @@ TEST(Lint, TableEntriesCoverBothModules)
     const model::ExploreResult res = model::explore(opt);
 
     bool sawCache = false, sawDir = false;
-    for (const auto &[key, entry] : res.table.entries()) {
-        EXPECT_GT(entry.hits, 0u);
-        if (key.module == model::Module::cache)
+    for (const model::TableEntry *entry : res.table.entries()) {
+        EXPECT_GT(entry->hits, 0u);
+        if (entry->key.module == model::Module::cache)
             sawCache = true;
         else
             sawDir = true;

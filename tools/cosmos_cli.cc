@@ -45,11 +45,11 @@
  *   --out FILE       write the cosmos-lint-v1 JSON artifact
  *
  * Model options:
- *   --nodes N        nodes in the modeled machine (default 2)
- *   --blocks N       modeled blocks (default 1)
- *   --reorder K      allow a delivery to overtake up to K earlier
- *                    messages on its channel (default 0 = the
- *                    simulator's FIFO contract)
+ *   --nodes N        nodes in the modeled machine (2..4, default 2)
+ *   --blocks N       modeled blocks (1..2, default 1)
+ *   --reorder K      allow a delivery to overtake up to K (0..7)
+ *                    earlier messages on its channel (default 0 =
+ *                    the simulator's FIFO contract)
  *   --max-states N   abort (as a liveness failure) past N states
  *   --forwarding     enable SGI-Origin-style request forwarding
  *                    (three-hop). Only inval_rw/downgrade recalls
@@ -113,6 +113,9 @@
  *                    (default 2048)
  *   --accesses N     (gen) accesses to write (default 100000)
  *
+ * Integer values are checked against their range; a non-numeric,
+ * negative or out-of-range value prints the usage and exits 2.
+ *
  * Common options:
  *   --iterations N   override the workload's iteration count; for
  *                    --forge, chunks to generate (default 64)
@@ -146,6 +149,10 @@
  *   cosmos run --forge migratory=0.4,phase=8 --forge-out forge.json
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -169,6 +176,7 @@
 #include "model/explorer.hh"
 #include "model/report.hh"
 #include "cosmos/predictor_bank.hh"
+#include "cosmos/tuple.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_event.hh"
 #include "harness/accel_runner.hh"
@@ -266,20 +274,35 @@ usage()
     std::exit(2);
 }
 
-/** --threads value: an integer in 0..256 (the COSMOS_THREADS cap). */
-unsigned
-parseThreads(const char *text)
+/** Reject @p flag's @p value: say what was expected, print the
+ *  usage, exit 2. */
+[[noreturn]] void
+badValue(const char *flag, const std::string &value, std::uint64_t lo,
+         std::uint64_t hi)
+{
+    std::fprintf(stderr, "bad %s value '%s': expected an integer in "
+                         "%llu..%llu\n",
+                 flag, value.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    usage();
+}
+
+/**
+ * An integer flag value in [@p lo, @p hi]: digits only, no sign or
+ * blanks; base 0 also takes 0x hex. A non-numeric, negative or
+ * out-of-range value is a usage error (badValue).
+ */
+std::uint64_t
+parseInteger(const char *flag, const char *text, std::uint64_t lo,
+             std::uint64_t hi, int base = 10)
 {
     char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0 || v > 256) {
-        std::fprintf(stderr,
-                     "bad --threads value '%s': expected 0..256 "
-                     "(total threads; 1 = serial, 0 = default)\n",
-                     text);
-        usage();
-    }
-    return static_cast<unsigned>(v);
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, base);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v < lo || v > hi)
+        badValue(flag, text, lo, hi);
+    return v;
 }
 
 CliArgs
@@ -300,9 +323,11 @@ parse(int argc, char **argv)
             return argv[++i];
         };
         if (flag == "--iterations") {
-            args.iterations = std::atoi(value());
+            args.iterations = static_cast<int>(parseInteger(
+                "--iterations", value(), 1, INT_MAX));
         } else if (flag == "--seed") {
-            args.seed = std::strtoull(value(), nullptr, 0);
+            args.seed =
+                parseInteger("--seed", value(), 0, UINT64_MAX, 0);
         } else if (flag == "--policy") {
             const std::string p = value();
             if (p == "half-migratory")
@@ -312,11 +337,16 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (flag == "--depth") {
-            args.depth = static_cast<unsigned>(std::atoi(value()));
+            args.depth = static_cast<unsigned>(
+                parseInteger("--depth", value(), 1, pred::max_mhr_depth));
         } else if (flag == "--filter") {
-            args.filter = static_cast<unsigned>(std::atoi(value()));
+            // The filter counts in an 8-bit saturating counter.
+            args.filter = static_cast<unsigned>(
+                parseInteger("--filter", value(), 0, 255));
         } else if (flag == "--threads") {
-            args.threads = parseThreads(value());
+            // At most 256, the COSMOS_THREADS cap.
+            args.threads = static_cast<unsigned>(
+                parseInteger("--threads", value(), 0, 256));
         } else if (flag == "--out") {
             args.out = value();
         } else if (flag == "--metrics-out") {
@@ -324,24 +354,30 @@ parse(int argc, char **argv)
         } else if (flag == "--trace-out") {
             args.traceOut = value();
         } else if (flag == "--seeds") {
-            args.fuzzSeeds = static_cast<unsigned>(std::atoi(value()));
+            args.fuzzSeeds = static_cast<unsigned>(
+                parseInteger("--seeds", value(), 0, 10'000'000));
         } else if (flag == "--replay") {
             args.haveReplay = true;
-            args.replaySeed = std::strtoull(value(), nullptr, 0);
+            args.replaySeed =
+                parseInteger("--replay", value(), 0, UINT64_MAX, 0);
         } else if (flag == "--nodes") {
-            args.fuzzNodes = static_cast<unsigned>(std::atoi(value()));
+            args.fuzzNodes = static_cast<unsigned>(
+                parseInteger("--nodes", value(), 1, max_machine_nodes));
             args.haveNodes = true;
         } else if (flag == "--blocks") {
-            args.fuzzBlocks =
-                static_cast<unsigned>(std::atoi(value()));
+            args.fuzzBlocks = static_cast<unsigned>(
+                parseInteger("--blocks", value(), 1, 1u << 16));
             args.haveBlocks = true;
         } else if (flag == "--ops") {
-            args.fuzzOps = static_cast<unsigned>(std::atoi(value()));
+            args.fuzzOps = static_cast<unsigned>(
+                parseInteger("--ops", value(), 0, 1'000'000));
         } else if (flag == "--jitter") {
-            args.fuzzJitter = std::strtoull(value(), nullptr, 0);
+            args.fuzzJitter = parseInteger("--jitter", value(), 0,
+                                           1'000'000'000, 0);
         } else if (flag == "--inject-ignore-inval") {
-            args.injectIgnoreInval =
-                static_cast<unsigned>(std::atoi(value()));
+            // The model keeps the fault's residue in one byte.
+            args.injectIgnoreInval = static_cast<unsigned>(
+                parseInteger("--inject-ignore-inval", value(), 0, 255));
         } else if (flag == "--replay-model") {
             args.replayModel = value();
         } else if (flag == "--forge-mix") {
@@ -354,16 +390,17 @@ parse(int argc, char **argv)
             args.forgeOut = value();
         } else if (flag == "--chunk") {
             args.chunk = static_cast<std::size_t>(
-                std::strtoull(value(), nullptr, 0));
+                parseInteger("--chunk", value(), 1, 1u << 24, 0));
         } else if (flag == "--accesses") {
-            args.genAccesses = std::strtoull(value(), nullptr, 0);
+            args.genAccesses =
+                parseInteger("--accesses", value(), 0, UINT64_MAX, 0);
         } else if (flag == "--reorder") {
-            args.modelReorder =
-                static_cast<unsigned>(std::atoi(value()));
+            args.modelReorder = static_cast<unsigned>(
+                parseInteger("--reorder", value(), 0, model::max_queue - 1));
         } else if (flag == "--max-states") {
-            args.modelMaxStates =
-                static_cast<std::size_t>(std::strtoull(value(),
-                                                       nullptr, 0));
+            // State ids are 32-bit.
+            args.modelMaxStates = static_cast<std::size_t>(
+                parseInteger("--max-states", value(), 1, 1u << 31, 0));
         } else if (flag == "--forwarding") {
             args.forwarding = true;
         } else if (flag == "--legacy-forwarding") {
@@ -373,8 +410,8 @@ parse(int argc, char **argv)
         } else if (flag == "--mutate") {
             args.mutate = value();
         } else if (flag == "--capacity") {
-            args.lintCapacity =
-                static_cast<unsigned>(std::atoi(value()));
+            args.lintCapacity = static_cast<unsigned>(
+                parseInteger("--capacity", value(), 0, 1u << 20));
         } else {
             usage();
         }
@@ -634,7 +671,20 @@ cmdAnalyze(const CliArgs &args)
 {
     if (args.target.empty())
         usage();
-    const auto trace = trace::loadTrace(args.target);
+    std::ifstream is(args.target, std::ios::binary);
+    if (!is) {
+        std::fprintf(stderr, "cannot open trace file %s\n",
+                     args.target.c_str());
+        return 2;
+    }
+    trace::ReadDiagnostic diag;
+    const auto loaded = trace::tryReadTrace(is, &diag);
+    if (!loaded) {
+        std::fprintf(stderr, "not a cosmos trace: %s\n",
+                     diag.format(args.target).c_str());
+        return 2;
+    }
+    const trace::Trace &trace = *loaded;
     std::printf("trace: app=%s nodes=%u iterations=%d\n",
                 trace.app.c_str(), trace.numNodes, trace.iterations);
     obs::Registry reg;
@@ -813,6 +863,18 @@ replayModelCounterexample(const CliArgs &args)
 int
 cmdModel(const CliArgs &args)
 {
+    // --nodes and --blocks are shared with fuzz; the model's
+    // fixed-size state bounds them tighter.
+    const auto bound = [](const char *flag, unsigned v, unsigned lo,
+                          unsigned hi) {
+        if (v < lo || v > hi)
+            badValue(flag, std::to_string(v), lo, hi);
+    };
+    if (args.haveNodes)
+        bound("--nodes", args.fuzzNodes, 2, model::max_nodes);
+    if (args.haveBlocks)
+        bound("--blocks", args.fuzzBlocks, 1, model::max_blocks);
+
     model::ExploreOptions opt;
     opt.mc.numNodes = static_cast<NodeId>(args.haveNodes
                                               ? args.fuzzNodes
