@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: the
- * Cosmos predictor's observe/predict operations, trace replay through
- * a full bank, the discrete-event queue, and the protocol's
- * end-to-end transaction throughput. These guard the tool's own
+ * Cosmos predictor's observe/predict operations, the discrete-event
+ * queue, and the protocol's end-to-end transaction throughput (trace
+ * replay through a full bank is bench_predictor_throughput's serial
+ * dsmc cells). These guard the tool's own
  * performance (a predictor model that cannot replay millions of
  * messages per second is painful to do research with).
  */
@@ -14,7 +15,6 @@
 
 #include "cosmos/cosmos_predictor.hh"
 #include "cosmos/directed.hh"
-#include "cosmos/predictor_bank.hh"
 #include "harness/experiment.hh"
 #include "proto/machine.hh"
 #include "sim/event_queue.hh"
@@ -63,31 +63,6 @@ BM_CosmosPredict(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 BENCHMARK(BM_CosmosPredict);
-
-void
-BM_BankReplay(benchmark::State &state)
-{
-    // One modest trace, replayed repeatedly through fresh banks.
-    harness::RunConfig cfg;
-    cfg.machine.numNodes = 16;
-    cfg.checkInvariants = false;
-    wl::ProducerConsumerParams params;
-    params.blocks = 32;
-    params.consumers = 3;
-    params.iterations = 30;
-    wl::ProducerConsumerMicro workload(params);
-    const auto result = harness::runWorkload(cfg, workload);
-
-    for (auto _ : state) {
-        pred::PredictorBank bank(16, pred::CosmosConfig{2, 0});
-        bank.replay(result.trace);
-        benchmark::DoNotOptimize(bank.accuracy().overall().total);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() *
-        static_cast<std::int64_t>(result.trace.records.size())));
-}
-BENCHMARK(BM_BankReplay);
 
 void
 BM_EventQueue(benchmark::State &state)

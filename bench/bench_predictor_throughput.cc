@@ -12,11 +12,12 @@
  *
  * It then reports messages/second for:
  *  - serial replay of the dsmc trace at MHR depths 1, 2, and 4, in
- *    two modes per depth: "scalar" (the PR-2 baseline methodology,
- *    bank construction + record-order replay timed together) and
- *    "batched" (census + reservation + construction outside the
- *    timed region, the batched SoA replay alone timed -- the tracked
- *    headline number);
+ *    two modes per depth: "scalar" (bank construction + a
+ *    PredictorBank::observe() call per record, timed together -- the
+ *    reference loop every replay must match) and "batched" (census +
+ *    reservation + construction outside the timed region,
+ *    PredictorBank::replay alone timed -- the tracked headline
+ *    number);
  *  - a parallel sweep of the whole 40-cell grid via harness::runSweep
  *    on --threads N threads in total.
  *
@@ -29,9 +30,10 @@
  * schema cosmos-bench-predictor-v3, validated by scripts/check_json.py
  * --schema bench) so successive CI runs can be compared.
  *
- * --dump-goldens replays the grid and prints fixture rows instead;
- * paste the output into golden_accuracy.hh when the *model* changes
- * intentionally.
+ * --dump-goldens feeds the grid record by record through observe()
+ * -- independent of the batched pipeline the gate checks -- and prints
+ * fixture rows instead; paste the output into golden_accuracy.hh when
+ * the *model* changes intentionally.
  */
 
 #include <chrono>
@@ -158,11 +160,12 @@ main(int argc, char **argv)
     const auto jobs = goldenJobs();
 
     if (dump_goldens) {
-        // Serial scalar replay, printed in fixture syntax.
+        // The per-record reference loop, printed in fixture syntax.
         for (const auto &job : jobs) {
             const auto &trace = harness::cachedTrace(job.app);
             pred::PredictorBank bank(trace.numNodes, job.config);
-            bank.replay(trace);
+            for (const auto &r : trace.records)
+                bank.observe(r);
             const CellCounters c = counters(bank.accuracy());
             std::printf("    {\"%s\", %u, %u, %lluu, %lluu, %lluu, "
                         "%lluu, %lluu},\n",
@@ -204,14 +207,13 @@ main(int argc, char **argv)
 
     // Phase 2: serial replay throughput on dsmc (tracked numbers).
     // "scalar" keeps the original methodology -- bank construction +
-    // record-order replay inside the timed region -- so the series
-    // stays comparable across runs. "batched" times the batched SoA
-    // replay alone: the census, table reservation, and construction
-    // happen outside the timed region, which is exactly how the
-    // sweep engine runs it.
+    // one observe() per record inside the timed region -- so the
+    // series stays comparable across runs. "batched" times replay()
+    // alone: the census, table reservation, and construction happen
+    // outside the timed region, which is exactly how the sweep
+    // engine runs it.
     const auto &dsmc = harness::cachedTrace("dsmc");
     const auto dsmc_census = trace::moduleBlockCensus(dsmc);
-    const pred::BatchConfig batch_cfg{};
     struct SerialCell
     {
         const char *mode;
@@ -227,7 +229,8 @@ main(int argc, char **argv)
                 const auto t0 = std::chrono::steady_clock::now();
                 pred::PredictorBank bank(
                     dsmc.numNodes, pred::CosmosConfig{depth, 0});
-                bank.replay(dsmc);
+                for (const auto &r : dsmc.records)
+                    bank.observe(r);
                 return secondsSince(t0);
             },
             min_seconds);
@@ -237,7 +240,7 @@ main(int argc, char **argv)
                     dsmc.numNodes, pred::CosmosConfig{depth, 0});
                 bank.reserveFromCensus(dsmc_census);
                 const auto t0 = std::chrono::steady_clock::now();
-                bank.replayBatched(dsmc, INT32_MAX, batch_cfg);
+                bank.replay(dsmc);
                 return secondsSince(t0);
             },
             min_seconds);
@@ -277,11 +280,11 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"goldens\": \"pass\",\n");
     std::fprintf(f, "  \"golden_cells\": %zu,\n", jobs.size());
     std::fprintf(f,
-                 "  \"batch\": {\"depth\": %u, "
-                 "\"prefetch_distance\": %u, \"window\": %zu, "
+                 "  \"batch\": {\"depth\": %zu, "
+                 "\"prefetch_distance\": %zu, \"window\": %zu, "
                  "\"group_bits\": %u},\n",
-                 batch_cfg.depth, batch_cfg.prefetchDistance,
-                 batch_cfg.window, batch_cfg.groupBits);
+                 pred::batch_depth, pred::batch_prefetch_distance,
+                 pred::batch_window, pred::batch_group_bits);
     std::fprintf(f, "  \"serial_dsmc\": {\n");
     std::fprintf(f, "    \"records\": %zu,\n", dsmc.records.size());
     std::fprintf(f, "    \"cells\": [\n");

@@ -1,34 +1,36 @@
 /**
  * @file
- * Batched SoA staging for the predictor observe hot path.
+ * Constants and SoA staging of the batched replay pipeline.
  *
- * The scalar replay loop walks an array of 40-byte TraceRecords and,
- * per record, probes two hash tables whose slots it has never seen --
- * the block-table probe is a dependent cache miss sitting squarely on
- * the critical path. The batch layer restructures the loop around
- * fixed-size batches:
+ * PredictorBank::replay and observeChunk are the one way a trace
+ * reaches a Cosmos bank. Observing record by record walks an array of
+ * TraceRecords and, per record, probes two hash tables whose slots it
+ * has never seen -- the block-table probe is a dependent cache miss
+ * sitting squarely on the critical path. The pipeline
+ * restructures that loop around fixed-size windows:
  *
  *  - pass 1 (stage) decodes a window of records into a structure-of-
  *    arrays buffer: block addresses, encoded <sender,type> tuples,
  *    module indices, and iterations in four dense arrays (16 hot
- *    bytes per record instead of 40), then stably counting-sorts the
- *    window by (module, block-hash) so each predictor's records --
- *    and within them each block's records -- replay back-to-back;
+ *    bytes per record), then stably counting-sorts the window by
+ *    (module, block-hash) so each predictor's records -- and within
+ *    them each block's records -- replay back-to-back;
  *  - pass 2 (apply) walks each module slice and performs the
- *    ordinary scalar observe per element, probing the block table
- *    once per same-block run with a software prefetch issued a fixed
- *    distance ahead, so probe latency overlaps preceding updates.
+ *    ordinary observe per element, probing the block table once per
+ *    same-block run with a software prefetch issued a fixed distance
+ *    ahead, so probe latency overlaps preceding updates.
  *
- * Because pass 2 performs exactly the scalar path's observe calls in
- * an order that preserves every (module, block) subsequence -- the
- * only order any Table 5/6/8 counter depends on -- all counters are
- * bit-identical to an unbatched replay; the golden suite gates on
- * this.
+ * Because pass 2 performs exactly the per-record observe calls in an
+ * order that preserves every (module, block) subsequence -- the only
+ * order any Table 5/6/8 counter depends on -- all counters are
+ * bit-identical to feeding each record to PredictorBank::observe in
+ * trace order; the tests compare against that loop.
  */
 
 #ifndef COSMOS_COSMOS_BATCH_HH
 #define COSMOS_COSMOS_BATCH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,49 +42,43 @@
 namespace cosmos::pred
 {
 
-/** Tunables of the batched observe pipeline. */
-struct BatchConfig
-{
-    /**
-     * Records staged per probe/apply sub-batch. Bounds the span
-     * between an element's probe and its apply, so the lines the
-     * probe pass warmed are still resident when the apply pass needs
-     * them.
-     */
-    unsigned depth = 512;
+/**
+ * Records staged per probe/apply sub-batch. Bounds the span between an
+ * element's probe and its apply, so the lines the probe pass warmed
+ * are still resident when the apply pass needs them.
+ */
+inline constexpr std::size_t batch_depth = 512;
 
-    /**
-     * How many elements ahead of the probe cursor the block-table
-     * slot prefetch is issued. Far enough to cover a memory access,
-     * near enough that the line survives until use.
-     */
-    unsigned prefetchDistance = 8;
+/**
+ * How many elements ahead of the probe cursor the block-table slot
+ * prefetch is issued. Far enough to cover a memory access, near
+ * enough that the line survives until use.
+ */
+inline constexpr std::size_t batch_prefetch_distance = 8;
 
-    /**
-     * Records per module-major window. Within a window, staged
-     * records are stably partitioned by destination module and each
-     * module's slice replays consecutively, so one predictor's
-     * tables stay cache-hot for the whole slice. Per-(module, block)
-     * record order -- the only order the counters depend on -- is
-     * preserved, so results are bit-identical to trace-order replay.
-     * Bounds batched-replay scratch memory at ~40 bytes per record.
-     */
-    std::size_t window = 1u << 18;
+/**
+ * Records per module-major window. Within a window, staged records are
+ * stably partitioned by destination module and each module's slice
+ * replays consecutively, so one predictor's tables stay cache-hot for
+ * the whole slice. Staging scratch is ~36 bytes per record plus
+ * ~1 MB of sort buckets, so a bank holds ~3.4 MB at this size; 2^18
+ * added ~9 MB per bank and raised the forge-phase benchmark's peak
+ * RSS by 16% (EXPERIMENTS.md, "Replay window").
+ */
+inline constexpr std::size_t batch_window = std::size_t{1} << 16;
 
-    /**
-     * Block-grouping hash bits inside each module's partition: the
-     * counting-sort key is (module << groupBits) | hash(block). All
-     * of one block's records in a window land in one bucket, so they
-     * replay back-to-back and the apply pass resolves the block's
-     * state node once per run instead of once per record (dsmc
-     * averages ~12 records per (module, block)). The sort is stable,
-     * so per-(module, block) order is preserved and counters stay
-     * bit-identical; hash collisions only interleave groups, they
-     * never reorder one block's records. Clamped per bank so the
-     * bucket array stays small enough to reset per window.
-     */
-    unsigned groupBits = 11;
-};
+/**
+ * Block-grouping hash bits inside each module's partition: the
+ * counting-sort key is (module << batch_group_bits) | hash(block). All
+ * of one block's records in a window land in one bucket, so they replay
+ * back-to-back and the apply pass resolves the block's state node once
+ * per run instead of once per record (dsmc averages ~12 records per
+ * (module, block)). The sort is stable, so per-(module, block) order
+ * is preserved; hash collisions only interleave groups, they never
+ * reorder one block's records. Clamped per window so the bucket array
+ * stays small next to the records it sorts and cheap to reset.
+ */
+inline constexpr unsigned batch_group_bits = 11;
 
 /**
  * Structure-of-arrays staging buffer: element i of every array

@@ -120,39 +120,16 @@ PredictorBank::observe(const trace::TraceRecord &r)
 }
 
 void
-PredictorBank::replay(const trace::Trace &t, std::int32_t max_iteration)
-{
-    for (const auto &r : t.records) {
-        if (r.iteration > max_iteration)
-            continue;
-        observe(r);
-    }
-}
-
-void
-PredictorBank::replay(
-    const std::vector<const trace::TraceRecord *> &records,
-    std::int32_t max_iteration)
-{
-    for (const auto *r : records) {
-        if (r->iteration > max_iteration)
-            continue;
-        observe(*r);
-    }
-}
-
-void
 PredictorBank::applySlice(CosmosPredictor &p, bool dir_side,
                           const Addr *blocks,
                           const std::uint16_t *tuples,
-                          const std::int32_t *iters, std::size_t n,
-                          const BatchConfig &bc)
+                          const std::int32_t *iters, std::size_t n)
 {
     const proto::Role role =
         dir_side ? proto::Role::directory : proto::Role::cache;
     ArcStats &arcs = dir_side ? dirArcs_ : cacheArcs_;
-    const std::size_t depth = bc.depth > 0 ? bc.depth : 1;
-    const unsigned dist = bc.prefetchDistance;
+    constexpr std::size_t depth = batch_depth;
+    constexpr std::size_t dist = batch_prefetch_distance;
     refs_.resize(std::min(n, depth));
 
     // Run memoization state. Block grouping placed each block's
@@ -169,19 +146,19 @@ PredictorBank::applySlice(CosmosPredictor &p, bool dir_side,
         // prefetch running a fixed distance ahead) and let
         // probeBlock() warm the node and PHT lines. The run heads'
         // chains are independent, so their misses overlap -- the
-        // scalar path serializes the same loads behind each
+        // per-record observe() serializes the same loads behind each
         // element's update. Within a run the head's ref is simply
         // propagated.
         for (std::size_t j = 0; j < sub; ++j) {
             const Addr blk = blocks[b + j];
-            if (dist > 0 && j + dist < sub &&
+            if (j + dist < sub &&
                 blocks[b + j + dist] != blocks[b + j + dist - 1])
                 p.prefetchBlock(blocks[b + j + dist]);
             refs_[j] = (j > 0 && blk == blocks[b + j - 1])
                            ? refs_[j - 1]
                            : p.probeBlock(blk);
         }
-        // Apply pass: the scalar observes, in order, against warm
+        // Apply pass: the per-record observes, in order, against warm
         // lines. Nodes are stable (the block table stores pointers),
         // so refs survive any insertions this pass performs. A run
         // of a never-seen block probes null; its head obtains the
@@ -210,7 +187,7 @@ PredictorBank::applySlice(CosmosPredictor &p, bool dir_side,
 }
 
 void
-PredictorBank::applyStaged(const SoaBatch &batch, const BatchConfig &bc)
+PredictorBank::applyStaged(const SoaBatch &batch)
 {
     cosmos_assert(cosmosDepth_ != 0,
                   "applyStaged requires a Cosmos bank");
@@ -225,10 +202,14 @@ PredictorBank::applyStaged(const SoaBatch &batch, const BatchConfig &bc)
     // run. Per-(module, block) record order -- the only order any
     // counter depends on -- is untouched, so the result is
     // bit-identical to trace-order replay. The group width is
-    // clamped so the bucket array resets cheaply per window even for
-    // very wide machines.
-    unsigned g = bc.groupBits;
-    while (g > 0 && (static_cast<std::size_t>(nmod) << g) > (1u << 17))
+    // clamped so the bucket array resets cheaply per window: at most
+    // 2^17 buckets even for very wide machines, and no more than ~4
+    // per staged record, so a small chunk does not pay for resetting
+    // buckets it cannot fill.
+    const std::size_t max_buckets =
+        std::min<std::size_t>(std::size_t{1} << 17, 4 * n);
+    unsigned g = batch_group_bits;
+    while (g > 0 && (static_cast<std::size_t>(nmod) << g) > max_buckets)
         --g;
     const std::size_t nbuckets = static_cast<std::size_t>(nmod) << g;
     const std::uint32_t gmask = (1u << g) - 1u;
@@ -262,74 +243,67 @@ PredictorBank::applyStaged(const SoaBatch &batch, const BatchConfig &bc)
         applySlice(static_cast<CosmosPredictor &>(*predictors_[m]),
                    (m & 1u) != 0, sorted_.blocks.data() + begin,
                    sorted_.tuples.data() + begin,
-                   sorted_.iterations.data() + begin, end - begin, bc);
+                   sorted_.iterations.data() + begin, end - begin);
+    }
+}
+
+template <typename RecordAt>
+void
+PredictorBank::replayRecords(std::size_t n, std::int32_t max_iteration,
+                             RecordAt at)
+{
+    if (cosmosDepth_ == 0) {
+        // Heterogeneous banks pay a virtual call per observe anyway;
+        // the per-record loop is the whole story for them.
+        for (std::size_t i = 0; i < n; ++i) {
+            const trace::TraceRecord &r = at(i);
+            if (r.iteration <= max_iteration)
+                observe(r);
+        }
+        return;
+    }
+    stage_.ensure(std::min(n, batch_window));
+    for (std::size_t i = 0; i < n;) {
+        stage_.clear();
+        const std::size_t end = std::min(n, i + batch_window);
+        for (; i < end; ++i) {
+            const trace::TraceRecord &r = at(i);
+            if (r.iteration > max_iteration)
+                continue;
+            cosmos_assert(r.receiver < numNodes_, "bad node ",
+                          r.receiver);
+            stage_.push(r);
+        }
+        applyStaged(stage_);
     }
 }
 
 void
 PredictorBank::observeChunk(const trace::TraceRecord *recs,
-                            std::size_t n, std::int32_t max_iteration,
-                            const BatchConfig &bc)
+                            std::size_t n, std::int32_t max_iteration)
 {
-    if (cosmosDepth_ == 0) {
-        // Heterogeneous banks pay a virtual call per observe anyway;
-        // the scalar loop is the whole story for them.
-        for (std::size_t i = 0; i < n; ++i)
-            if (recs[i].iteration <= max_iteration)
-                observe(recs[i]);
-        return;
-    }
-    const std::size_t window = bc.window > 0 ? bc.window : 1;
-    stage_.ensure(std::min(n, window));
-    for (std::size_t i = 0; i < n;) {
-        stage_.clear();
-        const std::size_t end = std::min(n, i + window);
-        for (; i < end; ++i) {
-            const trace::TraceRecord &r = recs[i];
-            if (r.iteration > max_iteration)
-                continue;
-            cosmos_assert(r.receiver < numNodes_, "bad node ",
-                          r.receiver);
-            stage_.push(r);
-        }
-        applyStaged(stage_, bc);
-    }
+    replayRecords(n, max_iteration,
+                  [recs](std::size_t i) -> const trace::TraceRecord & {
+                      return recs[i];
+                  });
 }
 
 void
-PredictorBank::replayBatched(const trace::Trace &t,
-                             std::int32_t max_iteration,
-                             const BatchConfig &bc)
+PredictorBank::replay(const trace::Trace &t, std::int32_t max_iteration)
 {
-    observeChunk(t.records.data(), t.records.size(), max_iteration,
-                 bc);
+    observeChunk(t.records.data(), t.records.size(), max_iteration);
 }
 
 void
-PredictorBank::replayBatched(
+PredictorBank::replay(
     const std::vector<const trace::TraceRecord *> &records,
-    std::int32_t max_iteration, const BatchConfig &bc)
+    std::int32_t max_iteration)
 {
-    if (cosmosDepth_ == 0) {
-        replay(records, max_iteration);
-        return;
-    }
-    const std::size_t window = bc.window > 0 ? bc.window : 1;
-    const std::size_t n = records.size();
-    stage_.ensure(std::min(n, window));
-    for (std::size_t i = 0; i < n;) {
-        stage_.clear();
-        const std::size_t end = std::min(n, i + window);
-        for (; i < end; ++i) {
-            const trace::TraceRecord &r = *records[i];
-            if (r.iteration > max_iteration)
-                continue;
-            cosmos_assert(r.receiver < numNodes_, "bad node ",
-                          r.receiver);
-            stage_.push(r);
-        }
-        applyStaged(stage_, bc);
-    }
+    replayRecords(records.size(), max_iteration,
+                  [&records](std::size_t i)
+                      -> const trace::TraceRecord & {
+                      return *records[i];
+                  });
 }
 
 void

@@ -49,38 +49,42 @@ class PredictorBank
     /** Bank of arbitrary predictors (directed baselines, etc.). */
     PredictorBank(NodeId num_nodes, PredictorFactory factory);
 
-    /** Feed one trace record to its (node, role) predictor. */
+    /**
+     * Feed one trace record to its (node, role) predictor. This is
+     * the reference semantics of every replay below, and the entry
+     * for callers that interleave prediction with the run itself
+     * (accel/online.cc, accel/speculation.cc).
+     */
     void observe(const trace::TraceRecord &r);
 
     /**
-     * Replay a whole trace. Records with iteration > @p max_iteration
-     * are skipped (Table 8 replays prefixes of one trace).
+     * Replay a whole trace through the batched pipeline
+     * (cosmos/batch.hh). Records with iteration > @p max_iteration
+     * are skipped (Table 8 replays prefixes of one trace). Counters
+     * are bit-identical to calling observe() on each record in trace
+     * order: the pipeline changes only when memory is touched, never
+     * what is computed. Banks of other predictors (directed
+     * baselines, variants) observe record by record; their virtual
+     * observe dominates anyway.
      */
     void replay(const trace::Trace &t,
                 std::int32_t max_iteration = INT32_MAX);
 
     /**
      * Replay a pre-selected slice of a trace -- typically one block
-     * shard (replay/sharding.hh). Pointers must stay valid for the
-     * call; records are fed in the given order.
+     * shard (replay/sharding.hh) or one forge class. Pointers must
+     * stay valid for the call; records are fed in the given order.
      */
     void replay(const std::vector<const trace::TraceRecord *> &records,
                 std::int32_t max_iteration = INT32_MAX);
 
-    /**
-     * Batched replay: stage-then-apply over fixed-size batches (see
-     * cosmos/batch.hh). Bit-identical counters to the scalar replay
-     * overloads above -- the batch pipeline changes only when memory
-     * is touched, never what is computed. Non-Cosmos banks fall back
-     * to the scalar loop (their virtual observe dominates anyway).
-     */
+    /** Old name of replay(const Trace &), still called by perfbench's
+     *  replay-grid driver; delete it when perfbench next changes. */
     void replayBatched(const trace::Trace &t,
-                       std::int32_t max_iteration = INT32_MAX,
-                       const BatchConfig &bc = {});
-    void replayBatched(
-        const std::vector<const trace::TraceRecord *> &records,
-        std::int32_t max_iteration = INT32_MAX,
-        const BatchConfig &bc = {});
+                       std::int32_t max_iteration = INT32_MAX)
+    {
+        replay(t, max_iteration);
+    }
 
     /**
      * Feed one contiguous chunk of records through the batched path.
@@ -90,8 +94,7 @@ class PredictorBank
      * machine run never materializes its trace.
      */
     void observeChunk(const trace::TraceRecord *recs, std::size_t n,
-                      std::int32_t max_iteration = INT32_MAX,
-                      const BatchConfig &bc = {});
+                      std::int32_t max_iteration = INT32_MAX);
 
     /**
      * Pre-size every predictor's block table from a
@@ -132,23 +135,31 @@ class PredictorBank
     std::size_t index(NodeId n, proto::Role role) const;
 
     /**
+     * The one staging loop behind every replay entry: @p at(i) is the
+     * i-th of @p n records. Cosmos banks stage windows of
+     * batch_window records and apply them; other banks observe()
+     * record by record.
+     */
+    template <typename RecordAt>
+    void replayRecords(std::size_t n, std::int32_t max_iteration,
+                       RecordAt at);
+
+    /**
      * Apply one staged batch module-major: the batch is stably
      * partitioned by destination module and each module's slice runs
      * the probe/apply pipeline consecutively. Cosmos banks only.
      */
-    void applyStaged(const SoaBatch &batch, const BatchConfig &bc);
+    void applyStaged(const SoaBatch &batch);
 
     /**
      * Two-pass probe/apply pipeline over one module's slice of a
-     * module-major window: sub-batches of BatchConfig::depth are
-     * probed (with slot prefetch BatchConfig::prefetchDistance
-     * elements ahead) and then applied in order against one hoisted
-     * predictor.
+     * module-major window: sub-batches of batch_depth are probed
+     * (with slot prefetch batch_prefetch_distance elements ahead)
+     * and then applied in order against one hoisted predictor.
      */
     void applySlice(CosmosPredictor &p, bool dir_side,
                     const Addr *blocks, const std::uint16_t *tuples,
-                    const std::int32_t *iters, std::size_t n,
-                    const BatchConfig &bc);
+                    const std::int32_t *iters, std::size_t n);
 
     NodeId numNodes_;
     unsigned cosmosDepth_ = 0; ///< nonzero iff a Cosmos bank
@@ -159,8 +170,8 @@ class PredictorBank
     /// last incoming message type per (node, role, block), feeding
     /// the arc statistics.
     FlatMap<std::uint64_t, proto::MsgType> lastType_;
-    /// reused SoA staging buffer of the batched replay paths; bounds
-    /// batched-replay scratch at BatchConfig::window elements.
+    /// reused SoA staging buffer of replay; bounds replay scratch at
+    /// batch_window elements.
     SoaBatch stage_;
     /// module-major reorder target: stage_ stably partitioned by
     /// (module, block-hash) bucket (modules array unused -- the

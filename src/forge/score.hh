@@ -4,11 +4,11 @@
  *
  * The paper's Table 5 reports accuracy per application and can only
  * *conjecture* (§6.1) how each sharing class contributes. A forge
- * run knows every block's class, and sharded replay is bit-identical
- * to serial replay (src/replay), so replaying each class's record
- * slice through its own predictor bank yields exact per-class
- * accuracy -- the decomposition the paper could never measure on
- * real benchmarks. The same pass validates trace::classifyTrace
+ * run knows every block's class, and prediction state is per block,
+ * so replaying each class's record slice (PredictorBank::replay over
+ * record pointers, the batched pipeline every replay runs) through
+ * its own predictor bank yields exact per-class accuracy -- the
+ * decomposition the paper could never measure on real benchmarks. The same pass validates trace::classifyTrace
  * against the labels: a census with a known answer.
  */
 

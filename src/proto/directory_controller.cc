@@ -160,7 +160,16 @@ DirectoryController::entryView(Addr block) const
 void
 DirectoryController::restore(const DirectorySnapshot &s)
 {
-    entries_.clear();
+    // Reset every entry in place instead of clearing the table: an
+    // idle quiescent entry reads as absent (see snapshot()), and the
+    // entries and their waiting vectors keep their storage, so a
+    // restore allocates nothing once the table has seen its blocks.
+    entries_.forEach([](Addr, Entry &e) {
+        std::vector<Msg> waiting = std::move(e.waiting);
+        waiting.clear();
+        e = Entry{};
+        e.waiting = std::move(waiting);
+    });
     for (const DirEntrySnapshot &es : s.entries) {
         Entry &e = entry(es.block);
         e.state = es.state;

@@ -75,7 +75,7 @@ replayTrace(const trace::Trace &t, const ReplayJob &job, unsigned threads)
                          t.records.size());
         pred::PredictorBank bank(t.numNodes, job.config);
         bank.reserveFromCensus(trace::moduleBlockCensus(t));
-        bank.replayBatched(t, job.maxIteration);
+        bank.replay(t, job.maxIteration);
         return extract(bank);
     }
 
@@ -87,7 +87,7 @@ replayTrace(const trace::Trace &t, const ReplayJob &job, unsigned threads)
         pred::PredictorBank bank(t.numNodes, job.config);
         bank.reserveFromCensus(
             trace::moduleBlockCensus(parts[s].records, t.numNodes));
-        bank.replayBatched(parts[s].records, job.maxIteration);
+        bank.replay(parts[s].records, job.maxIteration);
         partial[s] = extract(bank);
     });
 

@@ -2,19 +2,21 @@
  * @file
  * Tests of the batched and chunked replay pipeline.
  *
- * The whole pipeline (cosmos/batch.hh staging, the grouped counting
- * sort, the probe/apply passes, and chunked observeChunk replay)
- * claims one property everywhere: every Table 5/6/8 counter is
- * *bit-identical* to a plain scalar record-order replay. This suite
- * checks that claim against every axis the pipeline can vary --
- * predictor configuration, batch tunables (including degenerate
- * ones), iteration prefixes, chunk boundaries -- plus the supporting
- * guarantees: census reservation really prevents rehashes, and the
- * traffic record sink matches materialization chunk for chunk.
+ * The whole pipeline behind PredictorBank::replay (cosmos/batch.hh
+ * staging, the grouped counting sort, the probe/apply passes, and
+ * chunked observeChunk replay) claims one property everywhere: every
+ * Table 5/6/8 counter is *bit-identical* to feeding each record to
+ * PredictorBank::observe in trace order. This suite checks that claim
+ * against every axis the pipeline can vary -- predictor
+ * configuration, iteration prefixes, pointer slices, chunk and window
+ * seams -- plus the supporting guarantees: census reservation really
+ * prevents rehashes, and the traffic record sink matches
+ * materialization chunk for chunk.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -31,7 +33,6 @@ namespace cosmos
 namespace
 {
 
-using pred::BatchConfig;
 using pred::CosmosConfig;
 using pred::PredictorBank;
 
@@ -73,12 +74,15 @@ snapshot(const PredictorBank &bank)
             m.mhrEntries,             m.phtEntries};
 }
 
+/** The reference: one observe() per record, in trace order. */
 Counters
-scalarReference(const trace::Trace &t, const CosmosConfig &cfg,
-                std::int32_t max_iteration = INT32_MAX)
+observeLoop(const trace::Trace &t, const CosmosConfig &cfg,
+            std::int32_t max_iteration = INT32_MAX)
 {
     PredictorBank bank(t.numNodes, cfg);
-    bank.replay(t, max_iteration);
+    for (const auto &r : t.records)
+        if (r.iteration <= max_iteration)
+            bank.observe(r);
     return snapshot(bank);
 }
 
@@ -95,8 +99,8 @@ TEST(BatchedReplay, BitIdenticalAcrossConfigs)
         const auto &t = harness::cachedTrace(app);
         for (const auto &cfg : configs) {
             PredictorBank bank(t.numNodes, cfg);
-            bank.replayBatched(t);
-            EXPECT_EQ(snapshot(bank), scalarReference(t, cfg))
+            bank.replay(t);
+            EXPECT_EQ(snapshot(bank), observeLoop(t, cfg))
                 << app << " depth=" << cfg.depth
                 << " filter=" << cfg.filterMax
                 << " pht=" << cfg.maxPhtPerBlock;
@@ -104,29 +108,25 @@ TEST(BatchedReplay, BitIdenticalAcrossConfigs)
     }
 }
 
-TEST(BatchedReplay, BitIdenticalUnderDegenerateBatchConfigs)
+TEST(BatchedReplay, BitIdenticalAcrossChunkSeams)
 {
-    // Tiny windows force many staging flushes, depth 1 makes every
-    // sub-batch a single element, groupBits 0 disables grouping, and
-    // an absurd groupBits must clamp instead of allocating 2^24
-    // buckets per module.
+    // Each chunk size cuts the trace into staging windows at other
+    // places: one record per window, a small odd size, one short of
+    // batch_window, exactly batch_window, and one past it (each call
+    // splits into a full window plus a one-record window). The trace
+    // must span several windows for this to mean anything.
     const auto &t = harness::cachedTrace("dsmc");
+    ASSERT_GT(t.records.size(), 2 * pred::batch_window);
     const CosmosConfig cfg{.depth = 2};
-    const Counters want = scalarReference(t, cfg);
-    const BatchConfig batch_cfgs[] = {
-        {.depth = 1, .prefetchDistance = 0, .window = 1,
-         .groupBits = 0},
-        {.depth = 3, .prefetchDistance = 1, .window = 7,
-         .groupBits = 2},
-        {.depth = 512, .prefetchDistance = 8, .window = 1u << 18,
-         .groupBits = 24},
-    };
-    for (const auto &bc : batch_cfgs) {
+    const Counters want = observeLoop(t, cfg);
+    for (std::size_t chunk :
+         {std::size_t{1}, std::size_t{7}, pred::batch_window - 1,
+          pred::batch_window, pred::batch_window + 1}) {
         PredictorBank bank(t.numNodes, cfg);
-        bank.replayBatched(t, INT32_MAX, bc);
-        EXPECT_EQ(snapshot(bank), want)
-            << "batch depth=" << bc.depth << " window=" << bc.window
-            << " groupBits=" << bc.groupBits;
+        for (std::size_t i = 0; i < t.records.size(); i += chunk)
+            bank.observeChunk(t.records.data() + i,
+                              std::min(chunk, t.records.size() - i));
+        EXPECT_EQ(snapshot(bank), want) << "chunk size " << chunk;
     }
 }
 
@@ -136,8 +136,8 @@ TEST(BatchedReplay, BitIdenticalOnIterationPrefixes)
     const CosmosConfig cfg{.depth = 2};
     for (std::int32_t max_iter : {0, 2, 5}) {
         PredictorBank bank(t.numNodes, cfg);
-        bank.replayBatched(t, max_iter);
-        EXPECT_EQ(snapshot(bank), scalarReference(t, cfg, max_iter))
+        bank.replay(t, max_iter);
+        EXPECT_EQ(snapshot(bank), observeLoop(t, cfg, max_iter))
             << "maxIteration=" << max_iter;
     }
 }
@@ -151,25 +151,24 @@ TEST(BatchedReplay, PointerSliceOverloadMatchesScalar)
         refs.push_back(&r);
 
     const CosmosConfig cfg{.depth = 2};
-    PredictorBank scalar(t.numNodes, cfg);
-    scalar.replay(refs);
     PredictorBank batched(t.numNodes, cfg);
-    batched.replayBatched(refs);
-    EXPECT_EQ(snapshot(batched), snapshot(scalar));
+    batched.replay(refs);
+    EXPECT_EQ(snapshot(batched), observeLoop(t, cfg));
 }
 
 TEST(BatchedReplay, NonCosmosBankFallsBackBitIdentically)
 {
-    // Directed-baseline banks take the scalar path inside
-    // replayBatched; the counters still must match plain replay.
+    // Directed-baseline banks observe record by record inside
+    // replay; the counters still must match the observe() loop.
     const auto &t = harness::cachedTrace("dsmc");
     const auto factory = [](NodeId, proto::Role) {
         return std::make_unique<pred::LastValuePredictor>();
     };
     PredictorBank scalar(t.numNodes, factory);
-    scalar.replay(t);
+    for (const auto &r : t.records)
+        scalar.observe(r);
     PredictorBank batched(t.numNodes, factory);
-    batched.replayBatched(t);
+    batched.replay(t);
     EXPECT_EQ(batched.accuracy().overall().hits,
               scalar.accuracy().overall().hits);
     EXPECT_EQ(batched.accuracy().overall().total,
@@ -197,7 +196,7 @@ TEST(CensusReserve, NoRehashDuringReplay)
                     .tableStats()
                     .blockCapacity);
 
-    bank.replayBatched(t);
+    bank.replay(t);
 
     std::size_t i = 0;
     for (NodeId n = 0; n < t.numNodes; ++n)
@@ -265,9 +264,8 @@ TEST(TrafficSink, ChunkedSinkMatchesMaterializedTrace)
     EXPECT_EQ(streamed.trace.iterations,
               materialized.trace.iterations);
     ASSERT_FALSE(sunk.empty());
-    EXPECT_EQ(snapshot(chunked),
-              scalarReference(materialized.trace, pcfg))
-        << "chunked observeChunk diverged from a whole-trace replay";
+    EXPECT_EQ(snapshot(chunked), observeLoop(materialized.trace, pcfg))
+        << "chunked observeChunk diverged from the observe() loop";
 }
 
 } // namespace

@@ -203,13 +203,15 @@ TEST(StatsMergeDeathTest, MemoryStatsMergeRejectsDepthMismatch)
 
 // --------------------------------------------------------- determinism
 
-/** Serial reference replay through one bank. */
+/** Serial reference: one observe() per record, in trace order. */
 ReplayResult
 serialReplay(const trace::Trace &t, const pred::CosmosConfig &cfg,
              std::int32_t max_iteration = INT32_MAX)
 {
     pred::PredictorBank bank(t.numNodes, cfg);
-    bank.replay(t, max_iteration);
+    for (const auto &r : t.records)
+        if (r.iteration <= max_iteration)
+            bank.observe(r);
     ReplayResult r;
     r.accuracy = bank.accuracy();
     r.cacheArcs = bank.arcs(proto::Role::cache);

@@ -113,11 +113,13 @@
  *                    (default 2048)
  *   --accesses N     (gen) accesses to write (default 100000)
  *
- * Integer values are checked against their range; a non-numeric,
- * negative or out-of-range value prints the usage and exits 2.
+ * Integer values are checked against their range, and --forge-mix
+ * against [0,1]; a non-numeric, negative or out-of-range value prints
+ * the usage and exits 2.
  *
  * Common options:
- *   --iterations N   override the workload's iteration count; for
+ *   --iterations N   override the workload's iteration count, at
+ *                    least the kernel's warm-up iterations; for
  *                    --forge, chunks to generate (default 64)
  *   --seed S         simulation seed (decimal or 0x hex)
  *   --policy P       owner-read policy: half-migratory | downgrade
@@ -305,6 +307,26 @@ parseInteger(const char *flag, const char *text, std::uint64_t lo,
     return v;
 }
 
+/**
+ * A probability flag value in [0, 1]: a plain decimal number, no
+ * leading sign or blanks. Anything else is a usage error.
+ */
+double
+parseFraction(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    const bool plain = std::isdigit(static_cast<unsigned char>(text[0])) ||
+                       text[0] == '.';
+    if (!plain || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+        std::fprintf(stderr, "bad %s value '%s': expected a number in "
+                             "0..1\n",
+                     flag, text);
+        usage();
+    }
+    return v;
+}
+
 CliArgs
 parse(int argc, char **argv)
 {
@@ -381,7 +403,7 @@ parse(int argc, char **argv)
         } else if (flag == "--replay-model") {
             args.replayModel = value();
         } else if (flag == "--forge-mix") {
-            args.forgeMix = std::atof(value());
+            args.forgeMix = parseFraction("--forge-mix", value());
         } else if (flag == "--trace-file") {
             args.traceFile = value();
         } else if (flag == "--forge") {
@@ -419,9 +441,33 @@ parse(int argc, char **argv)
     return args;
 }
 
+/**
+ * A kernel discards its first warm-up iterations before recording,
+ * so --iterations below that count is a usage error (runWorkload
+ * asserts the relation as an internal invariant).
+ */
+void
+requireWarmupFits(const CliArgs &args)
+{
+    if (args.iterations < 0)
+        return;
+    const int warmup =
+        wl::makeWorkload(args.target)->info().warmupIterations;
+    if (args.iterations < warmup) {
+        std::fprintf(stderr,
+                     "bad --iterations value '%d': %s discards its "
+                     "first %d iterations as warm-up, so it needs at "
+                     "least %d\n",
+                     args.iterations, args.target.c_str(), warmup,
+                     warmup);
+        usage();
+    }
+}
+
 harness::RunConfig
 makeRunConfig(const CliArgs &args)
 {
+    requireWarmupFits(args);
     harness::RunConfig cfg;
     cfg.app = args.target;
     cfg.iterations = args.iterations;
@@ -699,6 +745,7 @@ cmdSweep(const CliArgs &args)
 {
     if (args.target.empty())
         usage();
+    requireWarmupFits(args);
     // All 12 depth x filter cells replay the one simulated trace
     // concurrently through the parallel sweep engine.
     std::vector<replay::ReplayJob> jobs;
