@@ -302,17 +302,19 @@ echo "== tsan replay/trace-cache/metrics-export suites" \
      "($(($(now_ms) - start)) ms)"
 
 # AddressSanitizer + UBSan pass over the simulator-core, protocol,
-# checker, and model suites: the model checker snapshots/restores live
-# controllers thousands of times per run, EventFn placement-news and
-# destroys captures by hand, and the controllers' open-addressing
-# tables move non-trivial values (DoneFn, directory entries) on every
-# insert and erase -- exactly where lifetime and aliasing bugs would
-# hide. -fno-sanitize-recover makes any report fatal, so a passing run
-# is a clean run.
+# checker, model, machine, runtime and forge suites: the model checker
+# snapshots/restores live controllers thousands of times per run,
+# EventFn placement-news and destroys captures by hand and threads
+# them through the timing wheel's intrusive lists, and the controllers
+# index dense per-block vectors by BlockId -- exactly where lifetime,
+# aliasing and indexing bugs would hide. COSMOS_ASAN also defines
+# _GLIBCXX_ASSERTIONS, so an out-of-range vector index traps even when
+# it stays inside the allocation. -fno-sanitize-recover makes any
+# report fatal, so a passing run is a clean run.
 # shellcheck disable=SC2046
 cmake -B build-asan $(gen_for build-asan) -DCOSMOS_ASAN=ON
 cmake --build build-asan --target sim_test net_test pattern_census_test \
-    proto_test check_test model_test
+    proto_test check_test model_test machine_test runtime_test forge_test
 start=$(now_ms)
 ./build-asan/tests/sim_test
 ./build-asan/tests/net_test
@@ -320,8 +322,11 @@ start=$(now_ms)
 ./build-asan/tests/proto_test
 ./build-asan/tests/check_test
 ./build-asan/tests/model_test
-echo "== asan sim/net/census/proto/check/model suites" \
-     "($(($(now_ms) - start)) ms)"
+./build-asan/tests/machine_test
+./build-asan/tests/runtime_test
+./build-asan/tests/forge_test
+echo "== asan sim/net/census/proto/check/model/machine/runtime/forge" \
+     "suites ($(($(now_ms) - start)) ms)"
 
 # Static lint over the sources that host invariants (src/model,
 # src/check, src/lint, src/proto) and the simulator core they run on

@@ -1,13 +1,12 @@
 /**
  * @file
  * Open-addressing hash map for per-block tables on hot paths: the
- * predictor's tables, the protocol controllers' line, MSHR and
- * directory-entry state, and the sharing-pattern census.
+ * predictor's tables, the machine's address -> block-id index, and
+ * the sharing-pattern census.
  *
  * std::unordered_map allocates one heap node per element and chases a
  * pointer per probe; on the observe/predict path (two lookups per
- * replayed message) and on every protocol delivery that is the
- * dominant cost. FlatMap stores entries in one contiguous slot array
+ * replayed message) that is the dominant cost. FlatMap stores entries in one contiguous slot array
  * with robin-hood probing:
  *
  *  - power-of-two capacity, index = mixed hash & (capacity - 1);

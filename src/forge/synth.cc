@@ -1,10 +1,13 @@
 #include "forge/synth.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 
 #include "common/log.hh"
 
@@ -69,20 +72,28 @@ ForgeParams::producerConsumer() const
     return 1.0 - migratory - falseSharing - privateFrac - readOnly;
 }
 
-void
+std::vector<std::string>
 ForgeParams::validate() const
 {
-    cosmos_assert(numProcs >= 2, "forge needs >= 2 processors");
-    cosmos_assert(blocks >= 1, "forge needs >= 1 block");
-    cosmos_assert(fanout >= 1 && fanout < numProcs,
-                  "fanout must be in [1, procs); got ", fanout);
-    cosmos_assert(blockBytes >= 2 && pageBytes >= blockBytes,
-                  "bad block/page geometry");
+    std::vector<std::string> errors;
+    const auto check = [&](bool ok, const std::string &msg) {
+        if (!ok)
+            errors.push_back(msg);
+    };
+    check(numProcs >= 2 && numProcs <= max_machine_nodes,
+          "procs must be in [2, " + std::to_string(max_machine_nodes) +
+              "]; got " + std::to_string(numProcs));
+    check(blocks >= 1, "blocks must be >= 1; got 0");
+    check(fanout >= 1 && fanout < numProcs,
+          "fanout must be in [1, procs); got " + std::to_string(fanout));
+    check(blockBytes >= 2 && pageBytes >= blockBytes,
+          "bad block/page geometry");
     for (double f : {migratory, falseSharing, privateFrac, readOnly})
-        cosmos_assert(f >= 0.0 && f <= 1.0,
-                      "class fractions must be within [0, 1]");
-    cosmos_assert(producerConsumer() >= -1e-9,
-                  "class fractions sum past 1.0");
+        check(f >= 0.0 && f <= 1.0,
+              "class fractions must be within [0, 1]; got " +
+                  std::to_string(f));
+    check(producerConsumer() >= -1e-9, "class fractions sum past 1.0");
+    return errors;
 }
 
 std::string
@@ -128,6 +139,22 @@ ForgeParams::parse(const std::string &spec, ForgeParams &out,
         if (!numeric)
             return bad("forge value for '" + key +
                        "' is not a number: '" + val + "'");
+        // Counts must be whole and fit their field; validate() then
+        // checks the ranges that make a usable stream.
+        const auto whole = [&](auto &field) {
+            using T = std::remove_reference_t<decltype(field)>;
+            if (!(d >= 0.0 && d == std::floor(d) &&
+                  d <= static_cast<double>(
+                           std::numeric_limits<T>::max()))) {
+                return bad("forge value for '" + key +
+                           "' is not a whole number in [0, " +
+                           std::to_string(
+                               std::numeric_limits<T>::max()) +
+                           "]: '" + val + "'");
+            }
+            field = static_cast<T>(d);
+            return true;
+        };
         if (key == "migratory") {
             out.migratory = d;
         } else if (key == "false") {
@@ -137,13 +164,17 @@ ForgeParams::parse(const std::string &spec, ForgeParams &out,
         } else if (key == "readonly") {
             out.readOnly = d;
         } else if (key == "fanout") {
-            out.fanout = static_cast<unsigned>(d);
+            if (!whole(out.fanout))
+                return false;
         } else if (key == "phase") {
-            out.phase = static_cast<unsigned>(d);
+            if (!whole(out.phase))
+                return false;
         } else if (key == "blocks") {
-            out.blocks = static_cast<unsigned>(d);
+            if (!whole(out.blocks))
+                return false;
         } else if (key == "procs") {
-            out.numProcs = static_cast<NodeId>(d);
+            if (!whole(out.numProcs))
+                return false;
         } else if (key == "seed") {
             out.seed = std::strtoull(val.c_str(), nullptr, 0);
         } else {
@@ -159,7 +190,9 @@ ForgeParams::parse(const std::string &spec, ForgeParams &out,
 SynthSource::SynthSource(const ForgeParams &params)
     : params_(params), rng_(params.seed ^ order_stream)
 {
-    params_.validate();
+    const std::vector<std::string> errors = params_.validate();
+    cosmos_assert(errors.empty(), "bad forge parameters: ",
+                  errors.front());
 
     // Partition the block population into classes by the requested
     // fractions (producer-consumer takes the remainder), then

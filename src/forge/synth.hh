@@ -84,8 +84,9 @@ struct ForgeParams
     /** Fraction left to producer-consumer blocks. */
     double producerConsumer() const;
 
-    /** Fatal on inconsistent values. */
-    void validate() const;
+    /** One message per out-of-range or inconsistent value; empty
+     *  when the parameters are usable (SynthSource asserts that). */
+    std::vector<std::string> validate() const;
 
     /** One-line key=value summary (CLI echo, JSON artifacts). */
     std::string summary() const;

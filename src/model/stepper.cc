@@ -8,7 +8,7 @@ namespace cosmos::model
 Stepper::Stepper(const ModelConfig &mc)
     : mc_(mc), cfg_(mc.machineConfig()),
       amap_(cfg_.blockBytes, cfg_.pageBytes, cfg_.numNodes),
-      table_(proto::ProtocolTable::build(cfg_))
+      blocks_(amap_), table_(proto::ProtocolTable::build(cfg_))
 {
     mc_.validate();
     auto capture = [this](const proto::Msg &m) {
@@ -18,9 +18,9 @@ Stepper::Stepper(const ModelConfig &mc)
     dirs_.reserve(cfg_.numNodes);
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         caches_.push_back(std::make_unique<proto::CacheController>(
-            n, amap_, cfg_, table_, eq_, capture));
+            n, amap_, cfg_, table_, blocks_, eq_, capture));
         dirs_.push_back(std::make_unique<proto::DirectoryController>(
-            n, amap_, cfg_, table_, eq_, capture));
+            n, cfg_, table_, blocks_, eq_, capture));
     }
     stale_ = (1u << 2 * cfg_.numNodes) - 1; // nothing loaded yet
 }
@@ -43,6 +43,7 @@ Stepper::toMsg(const CompactMsg &m) const
     r.src = m.src;
     r.dst = m.dst;
     r.block = mc_.blockAddr(m.blockIdx);
+    r.id = blocks_.find(r.block);
     r.requester = m.requester == no_node ? invalid_node
                                          : NodeId{m.requester};
     r.forwarded = m.forwarded;

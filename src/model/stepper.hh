@@ -52,6 +52,7 @@
 #include "common/addr.hh"
 #include "model/state.hh"
 #include "model/table.hh"
+#include "proto/block_index.hh"
 #include "sim/event_queue.hh"
 
 namespace cosmos::model
@@ -117,7 +118,8 @@ class Stepper
     ModelConfig mc_;
     MachineConfig cfg_;
     AddrMap amap_;
-    /** Declared before the controllers: they keep a reference. */
+    /** Declared before the controllers: they keep references. */
+    proto::BlockIndex blocks_;
     proto::ProtocolTable table_;
     sim::EventQueue eq_;
     std::vector<std::unique_ptr<proto::CacheController>> caches_;

@@ -25,86 +25,122 @@ toString(LineState s)
 CacheController::CacheController(NodeId node, const AddrMap &amap,
                                  const MachineConfig &cfg,
                                  const ProtocolTable &table,
-                                 sim::EventQueue &eq, SendFn send)
-    : node_(node), amap_(amap), cfg_(cfg), table_(table), eq_(eq),
-      sendFn_(std::move(send))
+                                 BlockIndex &blocks, sim::EventQueue &eq,
+                                 SendFn send)
+    : node_(node), amap_(amap), cfg_(cfg), table_(table),
+      blocks_(blocks), eq_(eq), sendFn_(std::move(send))
 {
+}
+
+namespace
+{
+
+bool
+isValid(LineState s)
+{
+    return s == LineState::read_only || s == LineState::read_write;
+}
+
+} // namespace
+
+BlockId
+CacheController::find(Addr block) const
+{
+    if (block != memoBlock_) {
+        const BlockId id = blocks_.find(block);
+        if (id == no_block)
+            return no_block;
+        memoBlock_ = block;
+        memoId_ = id;
+    }
+    return memoId_;
+}
+
+BlockId
+CacheController::intern(Addr block)
+{
+    if (block != memoBlock_) {
+        memoId_ = blocks_.intern(block);
+        memoBlock_ = block;
+    }
+    return memoId_;
+}
+
+LineState &
+CacheController::line(BlockId id)
+{
+    if (id >= lines_.size())
+        lines_.resize(blocks_.size(), LineState::invalid);
+    return lines_[id];
 }
 
 LineState
 CacheController::state(Addr a) const
 {
-    const LineState *st = lines_.find(amap_.blockBase(a));
-    return st == nullptr ? LineState::invalid : *st;
+    const BlockId id = find(amap_.blockBase(a));
+    return id < lines_.size() ? lines_[id] : LineState::invalid;
 }
 
 void
-CacheController::setState(Addr block, LineState st)
+CacheController::setState(BlockId id, LineState st)
 {
-    LineState *cur = lines_.find(block);
-    const LineState old = cur == nullptr ? LineState::invalid : *cur;
-    const auto counted = [](LineState s) {
-        return s == LineState::read_only || s == LineState::read_write;
-    };
-    if (counted(old) && !counted(st))
+    LineState &cur = line(id);
+    const LineState old = cur;
+    if (old == st)
+        return;
+    if (isValid(old) && !isValid(st))
         --validLines_;
-    else if (!counted(old) && counted(st))
+    else if (!isValid(old) && isValid(st))
         ++validLines_;
-    if (old != st)
-        ++stats_.stateEntries[static_cast<std::size_t>(st)];
-    if (st == LineState::invalid) {
-        if (cur != nullptr)
-            lines_.erase(block);
-    } else if (cur != nullptr) {
-        *cur = st;
-    } else {
-        lines_.insert(block, st);
-    }
-}
-
-void
-CacheController::evictForCapacity(Addr incoming_block)
-{
+    ++stats_.stateEntries[static_cast<std::size_t>(st)];
+    cur = st;
     if (cfg_.cacheCapacityBlocks == 0 ||
-        validLines_ < cfg_.cacheCapacityBlocks) {
+        (old != LineState::read_only && st != LineState::read_only)) {
         return;
     }
-    // Drop the lowest-addressed quiescent read-only line that is not
-    // the block being fetched, so the victim depends on the line set
-    // alone and never on the table's layout. Read-write lines are
+    const std::pair<Addr, BlockId> key{blocks_.addr(id), id};
+    const auto at =
+        std::lower_bound(readOnly_.begin(), readOnly_.end(), key);
+    if (st == LineState::read_only)
+        readOnly_.insert(at, key);
+    else
+        readOnly_.erase(at);
+}
+
+void
+CacheController::evictForCapacity()
+{
+    if (cfg_.cacheCapacityBlocks == 0 ||
+        validLines_ < cfg_.cacheCapacityBlocks || readOnly_.empty()) {
+        return;
+    }
+    // Drop the lowest-addressed quiescent read-only line, so the
+    // victim depends on the line set alone and never on the order
+    // blocks were interned. (Misses start from invalid lines, so the
+    // block being fetched is never a candidate.) Read-write lines are
     // never dropped (a clean victim needs no writeback message). If
     // everything is read-write the capacity is soft-exceeded.
-    bool found = false;
-    Addr victim = 0;
-    lines_.forEach([&](Addr block, LineState st) {
-        if (block != incoming_block && st == LineState::read_only &&
-            (!found || block < victim)) {
-            found = true;
-            victim = block;
-        }
-    });
-    if (found) {
-        setState(victim, LineState::invalid);
-        ++stats_.evictions;
-    }
+    setState(readOnly_.front().second, LineState::invalid);
+    ++stats_.evictions;
 }
 
 void
 CacheController::forEachLine(
     const std::function<void(Addr, LineState)> &fn) const
 {
-    lines_.forEach([&](Addr block, LineState st) { fn(block, st); });
+    for (const BlockId id : blocks_.byAddress()) {
+        if (id < lines_.size() && lines_[id] != LineState::invalid)
+            fn(blocks_.addr(id), lines_[id]);
+    }
 }
 
 void
 CacheController::snapshot(CacheSnapshot &out) const
 {
     out.lines.clear();
-    out.lines.reserve(lines_.size());
-    lines_.forEach([&](Addr block, LineState st) {
+    forEachLine([&](Addr block, LineState st) {
         out.lines.emplace_back(block, st);
     });
-    std::sort(out.lines.begin(), out.lines.end());
     out.invalResidue = cfg_.fault.ignoreInvalEvery == 0
                            ? 0
                            : ignoredInvalTick_ %
@@ -112,27 +148,30 @@ CacheController::snapshot(CacheSnapshot &out) const
 }
 
 void
-CacheController::restore(const CacheSnapshot &s, DoneFn on_complete)
+CacheController::restore(const CacheSnapshot &s)
 {
-    lines_.clear();
+    std::fill(lines_.begin(), lines_.end(), LineState::invalid);
+    readOnly_.clear();
     pending_.clear();
     validLines_ = 0;
     ignoredInvalTick_ = s.invalResidue;
-    if (!on_complete)
-        on_complete = []() {};
     for (const auto &[block, st] : s.lines) {
         cosmos_assert(st != LineState::invalid,
                       "snapshot carries an invalid line");
-        lines_.insert(block, st);
-        if (st == LineState::read_only || st == LineState::read_write)
+        const BlockId id = blocks_.intern(block);
+        line(id) = st;
+        if (isValid(st))
             ++validLines_;
         else
-            pending_.insert(block, on_complete);
+            pending_.emplace_back(id, DoneFn{});
+        if (st == LineState::read_only && cfg_.cacheCapacityBlocks != 0)
+            readOnly_.emplace_back(block, id);
     }
+    std::sort(readOnly_.begin(), readOnly_.end());
 }
 
 void
-CacheController::send(MsgType t, NodeId dst, Addr block,
+CacheController::send(MsgType t, NodeId dst, Addr block, BlockId id,
                       bool forwarded)
 {
     Msg m;
@@ -142,20 +181,23 @@ CacheController::send(MsgType t, NodeId dst, Addr block,
     m.block = block;
     m.requester = node_;
     m.forwarded = forwarded;
+    m.id = id;
     sendFn_(m);
 }
 
 bool
 CacheController::pendingOn(Addr a) const
 {
-    return pending_.find(amap_.blockBase(a)) != nullptr;
+    const LineState st = state(a);
+    return st != LineState::invalid && !isValid(st);
 }
 
 void
 CacheController::access(Addr a, bool write, DoneFn done)
 {
     const Addr block = amap_.blockBase(a);
-    const LineState st = state(block);
+    const BlockId id = intern(block);
+    const LineState st = line(id);
     // Accesses to transient blocks (processors stall on those; an
     // access here is the caller's error) hit the wait-state rows'
     // declared-unreachable proc entries and panic in dispatch().
@@ -168,7 +210,7 @@ CacheController::access(Addr a, bool write, DoneFn done)
     else
         ++stats_.loads;
 
-    const NodeId home = amap_.home(block);
+    const NodeId home = blocks_.home(id);
     switch (row.action) {
       case ActionId::cache_load_hit:
       case ActionId::cache_store_hit:
@@ -180,26 +222,26 @@ CacheController::access(Addr a, bool write, DoneFn done)
         break;
 
       case ActionId::cache_begin_read_miss:
-        pending_.insert(block, std::move(done));
+        pending_.emplace_back(id, std::move(done));
         ++stats_.readMisses;
-        evictForCapacity(block);
-        setState(block, LineState::wait_ro);
-        send(MsgType::get_ro_request, home, block);
+        evictForCapacity();
+        setState(id, LineState::wait_ro);
+        send(MsgType::get_ro_request, home, block, id);
         break;
 
       case ActionId::cache_begin_write_miss:
-        pending_.insert(block, std::move(done));
+        pending_.emplace_back(id, std::move(done));
         ++stats_.writeMisses;
-        evictForCapacity(block);
-        setState(block, LineState::wait_rw);
-        send(MsgType::get_rw_request, home, block);
+        evictForCapacity();
+        setState(id, LineState::wait_rw);
+        send(MsgType::get_rw_request, home, block, id);
         break;
 
       case ActionId::cache_begin_upgrade:
-        pending_.insert(block, std::move(done));
+        pending_.emplace_back(id, std::move(done));
         ++stats_.upgrades;
-        setState(block, LineState::wait_upg);
-        send(MsgType::upgrade_request, home, block);
+        setState(id, LineState::wait_upg);
+        send(MsgType::upgrade_request, home, block, id);
         break;
 
       default:
@@ -209,25 +251,36 @@ CacheController::access(Addr a, bool write, DoneFn done)
 }
 
 void
-CacheController::complete(Addr block, LineState final_state)
+CacheController::complete(BlockId id, LineState final_state)
 {
-    setState(block, final_state);
-    DoneFn *slot = pending_.find(block);
-    cosmos_assert(slot != nullptr, "response with no pending access");
-    DoneFn done = std::move(*slot);
-    pending_.erase(block);
-    done();
+    setState(id, final_state);
+    const auto slot = std::find_if(
+        pending_.begin(), pending_.end(),
+        [id](const auto &p) { return p.first == id; });
+    cosmos_assert(slot != pending_.end(),
+                  "response with no pending access");
+    DoneFn done = std::move(slot->second);
+    *slot = std::move(pending_.back());
+    pending_.pop_back();
+    if (done)
+        done();
 }
 
 void
 CacheController::handleMessage(const Msg &m)
 {
+    if (m.id == no_block) {
+        Msg known = m;
+        known.id = blocks_.intern(m.block);
+        handleMessage(known);
+        return;
+    }
     // Dispatch picks the declared row for the current line state,
     // the message type, and the guard bits derived from the message;
     // a stray response or a message no row covers panics inside
     // dispatch() with the offending (state, input, guard) triple.
     const TransitionRow &row = table_.dispatch(
-        Role::cache, static_cast<std::uint8_t>(state(m.block)),
+        Role::cache, static_cast<std::uint8_t>(line(m.id)),
         static_cast<std::uint8_t>(m.type), cacheMsgGuard(m), node_);
 
     switch (row.action) {
@@ -238,7 +291,7 @@ CacheController::handleMessage(const Msg &m)
         acceptData(m, LineState::read_write);
         break;
       case ActionId::cache_accept_upgrade:
-        complete(m.block, LineState::read_write);
+        complete(m.id, LineState::read_write);
         break;
       case ActionId::cache_invalidate_shared:
         invalidateShared(m);
@@ -268,8 +321,8 @@ CacheController::acceptData(const Msg &m, LineState final_state)
     // tell home it arrived so the directory entry can be released
     // (it queues later requests until then).
     if (m.forwarded)
-        send(MsgType::fwd_ack, amap_.home(m.block), m.block);
-    complete(m.block, final_state);
+        send(MsgType::fwd_ack, blocks_.home(m.id), m.block, m.id);
+    complete(m.id, final_state);
 }
 
 void
@@ -280,11 +333,11 @@ CacheController::invalidateShared(const Msg &m)
     // invalidation -- ack home but keep the copy.
     if (cfg_.fault.ignoreInvalEvery != 0 &&
         ++ignoredInvalTick_ % cfg_.fault.ignoreInvalEvery == 0) {
-        send(MsgType::inval_ro_response, m.src, m.block);
+        send(MsgType::inval_ro_response, m.src, m.block, m.id);
         return;
     }
-    setState(m.block, LineState::invalid);
-    send(MsgType::inval_ro_response, m.src, m.block);
+    setState(m.id, LineState::invalid);
+    send(MsgType::inval_ro_response, m.src, m.block, m.id);
 }
 
 void
@@ -294,8 +347,8 @@ CacheController::demoteUpgrade(const Msg &m)
     // the directory; the directory will answer the upgrade with
     // get_rw_response. Drop to wait_rw so that response is accepted.
     ++stats_.invalsReceived;
-    setState(m.block, LineState::wait_rw);
-    send(MsgType::inval_ro_response, m.src, m.block);
+    setState(m.id, LineState::wait_rw);
+    send(MsgType::inval_ro_response, m.src, m.block, m.id);
 }
 
 void
@@ -307,14 +360,14 @@ CacheController::ackStaleInval(const Msg &m)
     // request of ours is answered afterwards). Just acknowledge.
     ++stats_.invalsReceived;
     ++stats_.staleInvals;
-    send(MsgType::inval_ro_response, m.src, m.block);
+    send(MsgType::inval_ro_response, m.src, m.block, m.id);
 }
 
 void
 CacheController::surrenderExclusive(const Msg &m)
 {
     ++stats_.invalsReceived;
-    setState(m.block, LineState::invalid);
+    setState(m.id, LineState::invalid);
     if (m.forwarded) {
         // Three-hop transfer: hand the data straight to the
         // requester, plus a revision message home. The response is
@@ -323,20 +376,20 @@ CacheController::surrenderExclusive(const Msg &m)
         // reproducing the original race).
         send(m.wantWritable ? MsgType::get_rw_response
                             : MsgType::get_ro_response,
-             m.requester, m.block, !cfg_.legacyForwarding);
+             m.requester, m.block, m.id, !cfg_.legacyForwarding);
     }
-    send(MsgType::inval_rw_response, m.src, m.block);
+    send(MsgType::inval_rw_response, m.src, m.block, m.id);
 }
 
 void
 CacheController::downgradeLine(const Msg &m)
 {
     ++stats_.downgradesReceived;
-    setState(m.block, LineState::read_only);
+    setState(m.id, LineState::read_only);
     if (m.forwarded)
-        send(MsgType::get_ro_response, m.requester, m.block,
+        send(MsgType::get_ro_response, m.requester, m.block, m.id,
              !cfg_.legacyForwarding);
-    send(MsgType::downgrade_response, m.src, m.block);
+    send(MsgType::downgrade_response, m.src, m.block, m.id);
 }
 
 } // namespace cosmos::proto

@@ -21,11 +21,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "common/addr.hh"
 #include "common/config.hh"
-#include "common/flat_map.hh"
 #include "common/types.hh"
+#include "proto/block_index.hh"
 #include "proto/messages.hh"
 #include "proto/transition_table.hh"
 #include "sim/event_queue.hh"
@@ -89,22 +91,26 @@ struct CacheSnapshot
 /**
  * One node's cache controller.
  *
- * The owning Machine supplies the outbound message path and the event
- * queue; the Processor supplies accesses via access().
+ * The owning Machine supplies the outbound message path, the event
+ * queue and the block index it shares with the directories; the
+ * Processor supplies accesses via access().
  */
 class CacheController
 {
   public:
     using SendFn = std::function<void(const Msg &)>;
-    using DoneFn = std::function<void()>;
+    /** Completion of a processor access; a lambda converts. */
+    using DoneFn = sim::EventFn;
 
     /** @p table is the declared protocol table the controller
-     *  dispatches through; it must outlive the controller and match
-     *  @p cfg (Machine and the model stepper each own one). */
+     *  dispatches through and @p blocks the index its line state is
+     *  keyed by; both must outlive the controller, and the table must
+     *  match @p cfg (Machine and the model stepper each own one of
+     *  each). */
     CacheController(NodeId node, const AddrMap &amap,
                     const MachineConfig &cfg,
-                    const ProtocolTable &table, sim::EventQueue &eq,
-                    SendFn send);
+                    const ProtocolTable &table, BlockIndex &blocks,
+                    sim::EventQueue &eq, SendFn send);
 
     /**
      * Issue a processor load or store to byte address @p a.
@@ -136,7 +142,8 @@ class CacheController
     const CacheStats &stats() const { return stats_; }
 
     /**
-     * Enumerate blocks in a given state (invariant checking support).
+     * Enumerate the non-invalid lines in ascending address order
+     * (invariant checking support).
      */
     void forEachLine(
         const std::function<void(Addr, LineState)> &fn) const;
@@ -146,12 +153,12 @@ class CacheController
 
     /**
      * Replace the protocol state with @p s. Lines in a transient
-     * (wait_*) state get a fresh MSHR whose completion callback is
-     * @p on_complete (a no-op when empty) -- the model checker's
-     * stepper has no processor to wake, it derives progress from the
-     * line states themselves. Stats are left untouched.
+     * (wait_*) state get a fresh MSHR with no completion callback --
+     * there is no processor to wake (the model checker's stepper
+     * derives progress from the line states themselves). Stats are
+     * left untouched.
      */
-    void restore(const CacheSnapshot &s, DoneFn on_complete = {});
+    void restore(const CacheSnapshot &s);
 
   private:
     // Named action fragments the transition table's rows reference
@@ -172,32 +179,48 @@ class CacheController
     /** read_write x downgrade_request (incl. forwarded data reply). */
     void downgradeLine(const Msg &m);
 
-    void complete(Addr block, LineState final_state);
-    void send(MsgType t, NodeId dst, Addr block,
+    void complete(BlockId id, LineState final_state);
+    void send(MsgType t, NodeId dst, Addr block, BlockId id,
               bool forwarded = false);
-    /** Transition @p block, keeping the valid-line census. */
-    void setState(Addr block, LineState st);
+    /** The line of @p id, growing lines_ to cover every interned
+     *  block. */
+    LineState &line(BlockId id);
+    /** The id of the block at @p block, or no_block. find() and
+     *  intern() remember the last block they resolved, since a
+     *  processor asks pendingOn() and then access() for the same
+     *  one. */
+    BlockId find(Addr block) const;
+    /** As find(), interning a block seen for the first time. */
+    BlockId intern(Addr block);
+    /** Transition @p id, keeping the valid-line census and, in
+     *  capacity mode, the read-only list. */
+    void setState(BlockId id, LineState st);
     /** Silently drop a read-only victim to respect the capacity. */
-    void evictForCapacity(Addr incoming_block);
-
-    // lines_ and pending_ are open-addressing tables: an insert or
-    // erase may move every entry, so no action may hold a pointer
-    // into either table across an insert or erase of another block.
+    void evictForCapacity();
 
     NodeId node_;
     const AddrMap &amap_;
     const MachineConfig &cfg_;
     const ProtocolTable &table_;
+    BlockIndex &blocks_;
     sim::EventQueue &eq_;
     SendFn sendFn_;
 
-    /** Non-invalid lines only (absent means invalid). */
-    FlatMap<Addr, LineState> lines_;
+    /** Line state by BlockId; ids past the end are invalid. */
+    std::vector<LineState> lines_;
     std::size_t validLines_ = 0;
+    /** In capacity mode only: the read-only lines as (address, id),
+     *  sorted by address, so the victim is the front entry. */
+    std::vector<std::pair<Addr, BlockId>> readOnly_;
     /** Counts inval_ro_requests for FaultInjection::ignoreInvalEvery. */
     unsigned ignoredInvalTick_ = 0;
-    /** Outstanding misses: block -> completion callback (an MSHR). */
-    FlatMap<Addr, DoneFn> pending_;
+    /** Outstanding misses as (block, completion callback) -- the
+     *  MSHRs. A line has one exactly while it is in a wait_* state;
+     *  a restored one has an empty callback. */
+    std::vector<std::pair<BlockId, DoneFn>> pending_;
+    /** The last block find() or intern() resolved, and its id. */
+    mutable Addr memoBlock_ = ~Addr{0};
+    mutable BlockId memoId_ = no_block;
     CacheStats stats_;
 };
 

@@ -31,11 +31,12 @@ toString(DirState s)
     return "?";
 }
 
-DirectoryController::DirectoryController(NodeId node, const AddrMap &amap,
+DirectoryController::DirectoryController(NodeId node,
                                          const MachineConfig &cfg,
                                          const ProtocolTable &table,
+                                         BlockIndex &blocks,
                                          sim::EventQueue &eq, SendFn send)
-    : node_(node), amap_(amap), cfg_(cfg), table_(table), eq_(eq),
+    : node_(node), cfg_(cfg), table_(table), blocks_(blocks), eq_(eq),
       sendFn_(std::move(send))
 {
     cosmos_assert(cfg.numNodes <= max_machine_nodes,
@@ -60,11 +61,24 @@ DirectoryController::guardView(const Entry &e)
 }
 
 DirectoryController::Entry &
-DirectoryController::entry(Addr block)
+DirectoryController::entry(BlockId id)
 {
-    cosmos_assert(amap_.home(block) == node_, "block 0x", std::hex, block,
-                  " is not homed at this directory");
-    return entries_.obtain(block);
+    cosmos_assert(blocks_.home(id) == node_, "block 0x", std::hex,
+                  blocks_.addr(id), " is not homed at this directory");
+    const std::uint32_t slot = blocks_.homeSlot(id);
+    if (slot >= entries_.size())
+        entries_.resize(slot + std::size_t{1});
+    return entries_[slot];
+}
+
+const DirectoryController::Entry *
+DirectoryController::find(BlockId id) const
+{
+    if (id == no_block || blocks_.home(id) != node_ ||
+        blocks_.homeSlot(id) >= entries_.size()) {
+        return nullptr;
+    }
+    return &entries_[blocks_.homeSlot(id)];
 }
 
 void
@@ -78,28 +92,28 @@ DirectoryController::enter(Entry &e, DirState st)
 DirState
 DirectoryController::state(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const Entry *e = find(blocks_.find(block));
     return e == nullptr ? DirState::idle : e->state;
 }
 
 std::uint64_t
 DirectoryController::sharers(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const Entry *e = find(blocks_.find(block));
     return e == nullptr ? 0 : e->sharers;
 }
 
 NodeId
 DirectoryController::owner(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const Entry *e = find(blocks_.find(block));
     return e == nullptr ? invalid_node : e->owner;
 }
 
 bool
 DirectoryController::busy(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const Entry *e = find(blocks_.find(block));
     return e != nullptr && e->busy;
 }
 
@@ -108,27 +122,33 @@ DirectoryController::forEachEntry(
     const std::function<void(Addr, DirState, std::uint64_t, NodeId)> &fn)
     const
 {
-    entries_.forEach([&](Addr block, const Entry &e) {
-        fn(block, e.state, e.sharers, e.owner);
-    });
+    for (const BlockId id : blocks_.byAddress()) {
+        if (const Entry *e = find(id))
+            fn(blocks_.addr(id), e->state, e->sharers, e->owner);
+    }
 }
 
 void
 DirectoryController::snapshot(DirectorySnapshot &out) const
 {
     // Overwrite out's entries in place, so their waiting vectors keep
-    // their capacity across repeated snapshots.
+    // their capacity across repeated snapshots. Walking the blocks in
+    // address order sorts the snapshot.
     std::size_t used = 0;
-    entries_.forEach([&](Addr block, const Entry &e) {
+    for (const BlockId id : blocks_.byAddress()) {
+        const Entry *found = find(id);
         // Idle quiescent entries are indistinguishable from absent
         // ones (state() and busy() default them); dropping them keeps
         // snapshots of equal states byte-equal.
-        if (e.state == DirState::idle && !e.busy)
-            return;
+        if (found == nullptr ||
+            (found->state == DirState::idle && !found->busy)) {
+            continue;
+        }
+        const Entry &e = *found;
         if (used == out.entries.size())
             out.entries.emplace_back();
         DirEntrySnapshot &s = out.entries[used++];
-        s.block = block;
+        s.block = blocks_.addr(id);
         s.state = e.state;
         s.sharers = e.sharers;
         s.owner = e.owner;
@@ -140,18 +160,14 @@ DirectoryController::snapshot(DirectorySnapshot &out) const
         s.fwdAckPending = e.fwdAckPending;
         s.current = e.current;
         s.waiting = e.waiting;
-    });
+    }
     out.entries.resize(used);
-    std::sort(out.entries.begin(), out.entries.end(),
-              [](const DirEntrySnapshot &a, const DirEntrySnapshot &b) {
-                  return a.block < b.block;
-              });
 }
 
 DirGuardView
 DirectoryController::entryView(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const Entry *e = find(blocks_.find(block));
     if (e == nullptr || (e->state == DirState::idle && !e->busy))
         return DirGuardView{};
     return guardView(*e);
@@ -164,14 +180,15 @@ DirectoryController::restore(const DirectorySnapshot &s)
     // idle quiescent entry reads as absent (see snapshot()), and the
     // entries and their waiting vectors keep their storage, so a
     // restore allocates nothing once the table has seen its blocks.
-    entries_.forEach([](Addr, Entry &e) {
+    for (Entry &e : entries_) {
         std::vector<Msg> waiting = std::move(e.waiting);
         waiting.clear();
         e = Entry{};
         e.waiting = std::move(waiting);
-    });
+    }
     for (const DirEntrySnapshot &es : s.entries) {
-        Entry &e = entry(es.block);
+        const BlockId id = blocks_.intern(es.block);
+        Entry &e = entry(id);
         e.state = es.state;
         e.sharers = es.sharers;
         e.owner = es.owner;
@@ -183,37 +200,43 @@ DirectoryController::restore(const DirectorySnapshot &s)
         e.fwdAckPending = es.fwdAckPending;
         e.current = es.current;
         e.waiting = es.waiting;
+        // The queued requests are for this block; their ids may be
+        // another index's, or missing.
+        for (Msg &w : e.waiting)
+            w.id = id;
     }
 }
 
 void
-DirectoryController::respondAndFinish(MsgType t, NodeId dst, Addr block,
+DirectoryController::respondAndFinish(MsgType t, NodeId dst, BlockId id,
                                       bool from_memory)
 {
     Msg m;
     m.type = t;
     m.src = node_;
     m.dst = dst;
-    m.block = block;
+    m.block = blocks_.addr(id);
     m.requester = dst;
+    m.id = id;
     const Tick delay = cfg_.protocolOccupancy +
                        (from_memory ? cfg_.memoryLatency : 0);
     eq_.scheduleAfter(delay, [this, m]() {
         sendFn_(m);
-        finish(m.block);
+        finish(m.id);
     });
 }
 
 void
-DirectoryController::forward(MsgType t, NodeId dst, Addr block,
+DirectoryController::forward(MsgType t, NodeId dst, BlockId id,
                              NodeId requester, bool want_writable)
 {
     Msg m;
     m.type = t;
     m.src = node_;
     m.dst = dst;
-    m.block = block;
+    m.block = blocks_.addr(id);
     m.requester = requester;
+    m.id = id;
     // Voluntary recalls (requester == owner) are never forwarded:
     // there is no third party to answer. inval_ro_request sweeps are
     // never forwarded either -- the home itself holds the data while
@@ -223,14 +246,14 @@ DirectoryController::forward(MsgType t, NodeId dst, Addr block,
                (t == MsgType::inval_rw_request ||
                 t == MsgType::downgrade_request);
     if (fwd && cfg_.forwardingPredicted && speculation_ &&
-        !speculation_->forwardOwnerTransfer(block, dst, requester,
+        !speculation_->forwardOwnerTransfer(m.block, dst, requester,
                                             want_writable)) {
         // Predictor expects someone other than the requester to need
         // the block next: keep the data flowing through home.
         ++stats_.forwardsSuppressed;
         fwd = false;
     }
-    Entry &e = entry(block);
+    Entry &e = entry(id);
     e.fwdData = fwd;
     // The fwd_ack handshake closes the forwarded transfer; the legacy
     // (pre-fix) protocol skips it and releases the entry on the
@@ -247,11 +270,17 @@ DirectoryController::forward(MsgType t, NodeId dst, Addr block,
 void
 DirectoryController::handleMessage(const Msg &m)
 {
+    if (m.id == no_block) {
+        Msg known = m;
+        known.id = blocks_.intern(m.block);
+        handleMessage(known);
+        return;
+    }
     // Dispatch picks the declared row for the entry's abstract phase,
     // the message type, and the guard bits derived from the entry; a
     // stray response or a message no row covers panics inside
     // dispatch() with the offending (phase, input, guard) triple.
-    Entry &e = entry(m.block);
+    Entry &e = entry(m.id);
     const DirGuardView view = guardView(e);
     const TransitionRow &row = table_.dispatch(
         Role::directory, static_cast<std::uint8_t>(dirPhaseOf(view)),
@@ -307,7 +336,7 @@ DirectoryController::onInvalAck(Entry &e, const Msg &m)
         e.owner = req.src;
         respondAndFinish(e.genuineUpgrade ? MsgType::upgrade_response
                                           : MsgType::get_rw_response,
-                         req.src, m.block, !e.genuineUpgrade);
+                         req.src, m.id, !e.genuineUpgrade);
     }
 }
 
@@ -324,7 +353,7 @@ DirectoryController::onRevision(Entry &e, const Msg &m)
         enter(e, DirState::idle);
         e.sharers = 0;
         e.owner = invalid_node;
-        finish(m.block);
+        finish(m.id);
         return;
     }
     const Msg &req = e.current;
@@ -348,7 +377,7 @@ DirectoryController::onRevision(Entry &e, const Msg &m)
             return;
         }
         e.fwdData = false;
-        finish(m.block);
+        finish(m.id);
         return;
     }
     if (req.type == MsgType::get_ro_request) {
@@ -361,7 +390,7 @@ DirectoryController::onRevision(Entry &e, const Msg &m)
             e.sharers = 0;
             e.owner = req.src;
             respondAndFinish(MsgType::get_rw_response, req.src,
-                             m.block, false);
+                             m.id, false);
             return;
         }
         // Half-migratory: former owner invalidated; only the
@@ -369,13 +398,13 @@ DirectoryController::onRevision(Entry &e, const Msg &m)
         enter(e, DirState::shared);
         e.sharers = bit(req.src);
         e.owner = invalid_node;
-        respondAndFinish(MsgType::get_ro_response, req.src, m.block,
+        respondAndFinish(MsgType::get_ro_response, req.src, m.id,
                          false);
     } else {
         enter(e, DirState::exclusive);
         e.sharers = 0;
         e.owner = req.src;
-        respondAndFinish(MsgType::get_rw_response, req.src, m.block,
+        respondAndFinish(MsgType::get_rw_response, req.src, m.id,
                          false);
     }
 }
@@ -397,10 +426,10 @@ DirectoryController::onDowngradeAck(Entry &e, const Msg &m)
         if (e.fwdAckPending)
             return; // wait for the reader's fwd_ack
         e.fwdData = false;
-        finish(m.block);
+        finish(m.id);
         return;
     }
-    respondAndFinish(MsgType::get_ro_response, req.src, m.block,
+    respondAndFinish(MsgType::get_ro_response, req.src, m.id,
                      false);
 }
 
@@ -418,7 +447,7 @@ DirectoryController::onFwdAck(Entry &e, const Msg &m)
         // The owner's revision message already settled the entry;
         // the ack was the last outstanding leg.
         e.fwdData = false;
-        finish(m.block);
+        finish(m.id);
     }
     // Otherwise the ack overtook the owner's revision message
     // (independent channels); the inval_rw_response /
@@ -428,7 +457,7 @@ DirectoryController::onFwdAck(Entry &e, const Msg &m)
 void
 DirectoryController::serve(const Msg &m)
 {
-    Entry &e = entry(m.block);
+    Entry &e = entry(m.id);
     cosmos_assert(e.busy, "serve() without busy entry");
     e.current = m;
     e.genuineUpgrade = false;
@@ -480,19 +509,19 @@ DirectoryController::serveRead(Entry &e, const Msg &m)
             ++stats_.exclusiveGrants;
             enter(e, DirState::exclusive);
             e.owner = m.src;
-            respondAndFinish(MsgType::get_rw_response, m.src, m.block,
+            respondAndFinish(MsgType::get_rw_response, m.src, m.id,
                              true);
             break;
         }
         enter(e, DirState::shared);
         e.sharers = bit(m.src);
-        respondAndFinish(MsgType::get_ro_response, m.src, m.block,
+        respondAndFinish(MsgType::get_ro_response, m.src, m.id,
                          true);
         break;
 
       case DirState::shared:
         e.sharers |= bit(m.src);
-        respondAndFinish(MsgType::get_ro_response, m.src, m.block,
+        respondAndFinish(MsgType::get_ro_response, m.src, m.id,
                          true);
         break;
 
@@ -502,12 +531,12 @@ DirectoryController::serveRead(Entry &e, const Msg &m)
         if (cfg_.ownerReadPolicy == OwnerReadPolicy::half_migratory) {
             ++stats_.invalsSent;
             e.pendingAcks = 1;
-            forward(MsgType::inval_rw_request, e.owner, m.block,
+            forward(MsgType::inval_rw_request, e.owner, m.id,
                     m.src, false);
         } else {
             ++stats_.downgradesSent;
             e.pendingAcks = 1;
-            forward(MsgType::downgrade_request, e.owner, m.block,
+            forward(MsgType::downgrade_request, e.owner, m.id,
                     m.src, false);
         }
         break;
@@ -523,7 +552,7 @@ DirectoryController::serveWrite(Entry &e, const Msg &m,
       case DirState::idle:
         enter(e, DirState::exclusive);
         e.owner = m.src;
-        respondAndFinish(MsgType::get_rw_response, m.src, m.block,
+        respondAndFinish(MsgType::get_rw_response, m.src, m.id,
                          true);
         break;
 
@@ -545,14 +574,14 @@ DirectoryController::serveWrite(Entry &e, const Msg &m,
             respondAndFinish(genuine_upgrade
                                  ? MsgType::upgrade_response
                                  : MsgType::get_rw_response,
-                             m.src, m.block, !genuine_upgrade);
+                             m.src, m.id, !genuine_upgrade);
             break;
         }
         for (NodeId n = 0; n < cfg_.numNodes; ++n) {
             if (others & bit(n)) {
                 ++stats_.invalsSent;
                 ++e.pendingAcks;
-                forward(MsgType::inval_ro_request, n, m.block, m.src,
+                forward(MsgType::inval_ro_request, n, m.id, m.src,
                         false);
             }
         }
@@ -564,7 +593,7 @@ DirectoryController::serveWrite(Entry &e, const Msg &m,
                       "owner write-missed its own exclusive block");
         ++stats_.invalsSent;
         e.pendingAcks = 1;
-        forward(MsgType::inval_rw_request, e.owner, m.block, m.src,
+        forward(MsgType::inval_rw_request, e.owner, m.id, m.src,
                 true);
         break;
     }
@@ -573,10 +602,10 @@ DirectoryController::serveWrite(Entry &e, const Msg &m,
 bool
 DirectoryController::voluntaryRecall(Addr block)
 {
-    Entry *found = entries_.find(block);
-    if (found == nullptr)
+    const BlockId id = blocks_.find(block);
+    if (find(id) == nullptr)
         return false;
-    Entry &e = *found;
+    Entry &e = entry(id);
     if (e.busy || e.state != DirState::exclusive)
         return false;
     e.busy = true;
@@ -584,15 +613,14 @@ DirectoryController::voluntaryRecall(Addr block)
     e.pendingAcks = 1;
     ++stats_.recalls;
     ++stats_.invalsSent;
-    forward(MsgType::inval_rw_request, e.owner, block, e.owner,
-            false);
+    forward(MsgType::inval_rw_request, e.owner, id, e.owner, false);
     return true;
 }
 
 void
-DirectoryController::finish(Addr block)
+DirectoryController::finish(BlockId id)
 {
-    Entry &e = entry(block);
+    Entry &e = entry(id);
     cosmos_assert(e.busy, "finish() on idle entry");
     cosmos_assert(!e.fwdAckPending,
                   "finish() while a fwd_ack is outstanding");

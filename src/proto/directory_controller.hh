@@ -27,8 +27,8 @@
 
 #include "common/addr.hh"
 #include "common/config.hh"
-#include "common/flat_map.hh"
 #include "common/types.hh"
+#include "proto/block_index.hh"
 #include "proto/messages.hh"
 #include "proto/transition_table.hh"
 #include "sim/event_queue.hh"
@@ -154,12 +154,13 @@ class DirectoryController
     using SendFn = std::function<void(const Msg &)>;
 
     /** @p table is the declared protocol table the controller
-     *  dispatches through; it must outlive the controller and match
-     *  @p cfg (Machine and the model stepper each own one). */
-    DirectoryController(NodeId node, const AddrMap &amap,
-                        const MachineConfig &cfg,
-                        const ProtocolTable &table, sim::EventQueue &eq,
-                        SendFn send);
+     *  dispatches through and @p blocks the index its entries are
+     *  keyed by (through BlockIndex::homeSlot); both must outlive the
+     *  controller, and the table must match @p cfg (Machine and the
+     *  model stepper each own one of each). */
+    DirectoryController(NodeId node, const MachineConfig &cfg,
+                        const ProtocolTable &table, BlockIndex &blocks,
+                        sim::EventQueue &eq, SendFn send);
 
     /** Deliver a protocol message addressed to this directory. */
     void handleMessage(const Msg &m);
@@ -195,7 +196,9 @@ class DirectoryController
     NodeId node() const { return node_; }
     const DirectoryStats &stats() const { return stats_; }
 
-    /** Enumerate all known entries (invariant checking support). */
+    /** Enumerate the entries of every block homed here that the
+     *  machine has interned, idle ones included, in ascending address
+     *  order (invariant checking support). */
     void forEachEntry(const std::function<void(
                           Addr, DirState, std::uint64_t, NodeId)> &fn)
         const;
@@ -241,11 +244,15 @@ class DirectoryController
         bool fwdAckPending = false;
     };
 
-    /** The entry of @p block, created idle on first touch. entries_
-     *  is an open-addressing table: creating an entry may move every
-     *  other one, so an action holding an Entry& must only re-look-up
-     *  its own block, never touch a different one. */
-    Entry &entry(Addr block);
+    /** The entry of block @p id, created idle on first touch.
+     *  Creating an entry may grow entries_ and so move every other
+     *  one: an action holding an Entry& must only re-look-up its own
+     *  block, never touch a different one. */
+    Entry &entry(BlockId id);
+    /** The entry of block @p id if this directory has one (the
+     *  block is homed here and its slot was created), else nullptr;
+     *  no_block gives nullptr. */
+    const Entry *find(BlockId id) const;
     /** The guard-relevant slice of @p e, in the shape the transition
      *  table's guard predicates are declared over. The model stepper
      *  builds the identical view from a DirEntrySnapshot, so the two
@@ -271,26 +278,27 @@ class DirectoryController
     void serve(const Msg &m);
     void serveRead(Entry &e, const Msg &m);
     void serveWrite(Entry &e, const Msg &m, bool genuine_upgrade);
-    void finish(Addr block);
+    void finish(BlockId id);
     /**
      * Send a response and complete the block's transaction. The
      * entry stays busy until the response has actually left, so a
      * queued request's invalidations can never overtake it on the
      * directory-to-cache channel.
      */
-    void respondAndFinish(MsgType t, NodeId dst, Addr block,
+    void respondAndFinish(MsgType t, NodeId dst, BlockId id,
                           bool from_memory);
-    void forward(MsgType t, NodeId dst, Addr block, NodeId requester,
+    void forward(MsgType t, NodeId dst, BlockId id, NodeId requester,
                  bool want_writable);
 
     NodeId node_;
-    const AddrMap &amap_;
     const MachineConfig &cfg_;
     const ProtocolTable &table_;
+    BlockIndex &blocks_;
     sim::EventQueue &eq_;
     SendFn sendFn_;
 
-    FlatMap<Addr, Entry> entries_;
+    /** Entries by BlockIndex::homeSlot; slots past the end are idle. */
+    std::vector<Entry> entries_;
     DirectoryStats stats_;
     DirectorySpeculation *speculation_ = nullptr;
 };

@@ -7,13 +7,13 @@ namespace cosmos::proto
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg), amap_(cfg.blockBytes, cfg.pageBytes, cfg.numNodes),
-      table_(ProtocolTable::build(cfg)),
+      blocks_(amap_), table_(ProtocolTable::build(cfg)),
       network_(eq_, cfg.numNodes, cfg.networkLatency,
                cfg.networkInterfaceLatency)
 {
     cfg_.validate();
     // Each node keeps a handful of events in flight (network hops,
-    // controller occupancy, processor steps); pre-sizing the heap
+    // controller occupancy, processor steps); pre-sizing the slab
     // keeps the first iterations from growing it repeatedly.
     eq_.reserve(std::size_t{64} * cfg_.numNodes);
     auto send = [this](const Msg &m) {
@@ -23,9 +23,9 @@ Machine::Machine(const MachineConfig &cfg)
     directories_.reserve(cfg_.numNodes);
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
         caches_.push_back(std::make_unique<CacheController>(
-            n, amap_, cfg_, table_, eq_, send));
+            n, amap_, cfg_, table_, blocks_, eq_, send));
         directories_.push_back(std::make_unique<DirectoryController>(
-            n, amap_, cfg_, table_, eq_, send));
+            n, cfg_, table_, blocks_, eq_, send));
         network_.attach(n, [this](const Msg &m, bool local) {
             deliver(m, local);
         });

@@ -23,6 +23,7 @@
 #include "common/config.hh"
 #include "net/network.hh"
 #include "obs/metrics.hh"
+#include "proto/block_index.hh"
 #include "proto/cache_controller.hh"
 #include "proto/directory_controller.hh"
 #include "proto/messages.hh"
@@ -75,6 +76,8 @@ class Machine
     sim::EventQueue &eventQueue() { return eq_; }
     const sim::EventQueue &eventQueue() const { return eq_; }
     const AddrMap &addrMap() const { return amap_; }
+    /** Dense ids of the blocks the machine has touched so far. */
+    const BlockIndex &blocks() const { return blocks_; }
     const MachineConfig &config() const { return cfg_; }
 
     /** The declared transition table the controllers dispatch
@@ -150,7 +153,8 @@ class Machine
 
     MachineConfig cfg_;
     AddrMap amap_;
-    /** Declared before the controllers: they keep a reference. */
+    /** Declared before the controllers: they keep references. */
+    BlockIndex blocks_;
     ProtocolTable table_;
     sim::EventQueue eq_;
     net::Network<Msg> network_;

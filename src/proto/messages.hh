@@ -29,6 +29,7 @@
 #include <string>
 
 #include "common/types.hh"
+#include "proto/block_index.hh"
 
 namespace cosmos::proto
 {
@@ -104,10 +105,17 @@ struct Msg
     bool forwarded = false;
     /** In a forwarded recall: the requester wants a writable copy. */
     bool wantWritable = false;
+    /** @c block's id in the machine's BlockIndex, so the receiver
+     *  indexes its state without hashing the address; no_block when
+     *  the sender did not know it (the receiver interns @c block). */
+    BlockId id = no_block;
 
     /** Render "type src->dst block=0x... " for debugging. */
     std::string format() const;
 };
+
+// The id rides in what was padding after the flags.
+static_assert(sizeof(Msg) == 24, "Msg grew");
 
 } // namespace cosmos::proto
 

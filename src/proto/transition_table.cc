@@ -81,30 +81,6 @@ guardContext(GuardBits g)
 }
 
 GuardBits
-guardFromContext(const std::string &context)
-{
-    GuardBits g = guard_none;
-    std::size_t at = 0;
-    while (at < context.size()) {
-        std::size_t end = context.find('+', at);
-        if (end == std::string::npos)
-            end = context.size();
-        const std::string tag = context.substr(at, end - at);
-        bool known = false;
-        for (const GuardTag &t : guard_tags) {
-            if (tag == t.name) {
-                g |= t.bit;
-                known = true;
-                break;
-            }
-        }
-        cosmos_assert(known, "unknown guard tag '", tag, "'");
-        at = end + 1;
-    }
-    return g;
-}
-
-GuardBits
 cacheMsgGuard(const Msg &m)
 {
     GuardBits g = guard_none;

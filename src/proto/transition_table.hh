@@ -125,10 +125,6 @@ constexpr GuardBits guard_q = 1u << 14;
 /** Render guard bits as the canonical '+'-joined context string. */
 std::string guardContext(GuardBits g);
 
-/** Parse a stepper context string back to guard bits; panics on an
- *  unknown tag. */
-GuardBits guardFromContext(const std::string &context);
-
 /** Guard bits a cache derives from an incoming message (the forwarded
  *  mark and, for recalls, the wanted copy kind). */
 GuardBits cacheMsgGuard(const Msg &m);

@@ -10,8 +10,8 @@
  *
  * Scheduling never touches the heap allocator once the queue has
  * grown to its working size: callbacks hold their captures inline
- * (EventFn), live in a slab whose freed slots are reused, and the
- * priority heap orders small {when, seq, slot} keys only.
+ * (EventFn) and live in a slab whose freed slots are reused, and the
+ * queue orders them through intrusive links over that slab.
  */
 
 #ifndef COSMOS_SIM_EVENT_QUEUE_HH
@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -38,9 +39,12 @@ namespace cosmos::sim
  * compile error, never a heap fallback: every event callback in the
  * simulator fits, and one that stops fitting should be noticed.
  * Call, move and destroy go through one per-type ops table, so an
- * EventFn is the buffer plus one pointer. Moves are noexcept: a
- * capture that can only be copied (say, a const member) is copied,
- * and a copy that throws terminates.
+ * EventFn is the buffer plus one pointer. A trivially copyable
+ * capture (most are: a `this` pointer and a message) has no relocate
+ * or destroy entry; it moves as a plain copy of the buffer and is
+ * dropped without a call. Moves are noexcept: a capture that can only
+ * be copied (say, a const member) is copied, and a copy that throws
+ * terminates.
  */
 class EventFn
 {
@@ -65,7 +69,7 @@ class EventFn
     EventFn(EventFn &&other) noexcept : ops_(other.ops_)
     {
         if (ops_ != nullptr) {
-            ops_->relocate(buf_, other.buf_);
+            relocateFrom(other);
             other.ops_ = nullptr;
         }
     }
@@ -76,8 +80,9 @@ class EventFn
         if (this != &other) {
             reset();
             if (other.ops_ != nullptr) {
-                other.ops_->relocate(buf_, other.buf_);
-                ops_ = std::exchange(other.ops_, nullptr);
+                ops_ = other.ops_;
+                relocateFrom(other);
+                other.ops_ = nullptr;
             }
         }
         return *this;
@@ -96,27 +101,54 @@ class EventFn
     struct Ops
     {
         void (*call)(void *self);
-        /** Move-construct into @p dst from @p src, destroying @p src. */
+        /** Move-construct into @p dst from @p src, destroying @p src;
+         *  null for a trivially copyable capture. */
         void (*relocate)(void *dst, void *src);
+        /** Null for a trivially destructible capture. */
         void (*destroy)(void *self);
     };
 
     template <class D>
+    static void
+    relocateAs(void *dst, void *src)
+    {
+        D *from = static_cast<D *>(src);
+        ::new (dst) D(std::move(*from));
+        from->~D();
+    }
+
+    template <class D>
+    static void
+    destroyAs(void *self)
+    {
+        static_cast<D *>(self)->~D();
+    }
+
+    template <class D>
     static constexpr Ops opsFor{
         [](void *self) { (*static_cast<D *>(self))(); },
-        [](void *dst, void *src) {
-            D *from = static_cast<D *>(src);
-            ::new (dst) D(std::move(*from));
-            from->~D();
-        },
-        [](void *self) { static_cast<D *>(self)->~D(); },
+        std::is_trivially_copyable_v<D> ? nullptr : &relocateAs<D>,
+        std::is_trivially_destructible_v<D> ? nullptr : &destroyAs<D>,
     };
+
+    /** Take @p other's capture; ops_ is already other's. */
+    void
+    relocateFrom(EventFn &other)
+    {
+        if (ops_->relocate != nullptr)
+            ops_->relocate(buf_, other.buf_);
+        else
+            std::memcpy(buf_, other.buf_, capacity);
+    }
 
     void
     reset()
     {
-        if (ops_ != nullptr)
-            std::exchange(ops_, nullptr)->destroy(buf_);
+        if (ops_ != nullptr) {
+            const Ops *ops = std::exchange(ops_, nullptr);
+            if (ops->destroy != nullptr)
+                ops->destroy(buf_);
+        }
     }
 
     alignas(8) unsigned char buf_[capacity];
@@ -129,11 +161,39 @@ static_assert(sizeof(EventFn) == EventFn::capacity + sizeof(void *));
  * A time-ordered queue of callback events.
  *
  * Ties at the same tick break by schedule order (FIFO), so a run is a
- * pure function of the schedule calls made into it.
+ * pure function of the schedule calls made into it: events fire in
+ * ascending (when, seq) order, seq being the order of the schedule
+ * calls.
+ *
+ * Structure: a timing wheel. Almost every delay in the simulated
+ * machine (network hops, occupancy, memory, think time) is far below
+ * wheel_size ticks, so an event due in [now, now + wheel_size) goes
+ * into the FIFO bucket of its tick, `when mod wheel_size`, linked
+ * through its slab slot. An occupancy bitmap over the buckets, scanned
+ * with count-trailing-zeros, finds the next non-empty one. Every
+ * wheel event is due before now + wheel_size and no earlier than now,
+ * so a bucket never mixes two ticks. An event due wheel_size or more
+ * ticks ahead goes to a small overflow heap ordered by (when, seq),
+ * and stays there until it fires.
+ *
+ * Why this is the heap's order. Within the wheel a bucket is FIFO, so
+ * its events fire in seq order. Across the two structures, take an
+ * overflow event and a wheel event both due at tick t. The overflow
+ * event was scheduled at some now1 with t >= now1 + wheel_size; the
+ * wheel event at some now2 with t < now2 + wheel_size. So now1 < now2,
+ * and as time never runs backwards the overflow event was scheduled
+ * first: it has the smaller seq. Events scheduled while tick t runs
+ * (0-delay ones included) can only join t's bucket, at its tail,
+ * with a seq above every pending one. Running, at each tick, that
+ * tick's overflow events in heap order and then its bucket in FIFO
+ * order is therefore exactly ascending (when, seq).
  */
 class EventQueue
 {
   public:
+    /** Ticks the wheel spans; events due further ahead overflow. */
+    static constexpr std::size_t wheel_size = 1024;
+
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
@@ -148,8 +208,7 @@ class EventQueue
     /** Schedule @p fn to run @p delay ticks from now. */
     void scheduleAfter(Tick delay, EventFn fn);
 
-    /** Pre-size the heap and the callback slab for @p n pending
-     *  events. */
+    /** Pre-size the callback slab for @p n pending events. */
     void reserve(std::size_t n);
 
     /** Fire the earliest event. @return false if the queue was empty. */
@@ -162,7 +221,10 @@ class EventQueue
     std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
     /** Number of events currently pending. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const
+    {
+        return wheelPending_ + overflow_.size();
+    }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
@@ -176,7 +238,29 @@ class EventQueue
                         const std::string &prefix = "sim") const;
 
   private:
-    /** Heap key; the callback lives in slots_[slot]. */
+    static constexpr std::uint32_t no_slot = ~std::uint32_t{0};
+    static constexpr std::size_t wheel_mask = wheel_size - 1;
+    static constexpr std::size_t bitmap_words = wheel_size / 64;
+    static_assert((wheel_size & wheel_mask) == 0 && bitmap_words > 0,
+                  "wheel_size must be a power of two >= 64");
+
+    /** A slab slot: the callback and the next slot of its bucket (or
+     *  of the free list). */
+    struct Slot
+    {
+        EventFn fn;
+        std::uint32_t next = no_slot;
+    };
+
+    /** A tick's FIFO; meaningful only while its occupancy bit is set,
+     *  so the wheel needs no initialization. */
+    struct Bucket
+    {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
+
+    /** Overflow heap key; the callback lives in slots_[slot]. */
     struct Key
     {
         Tick when;
@@ -193,12 +277,24 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    std::vector<Key> heap_;
-    /** Callback slab; a slot is empty while on the free list. */
-    std::vector<EventFn> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    /** Store @p fn in a free slot and return its index. */
+    std::uint32_t allocate(EventFn fn);
+    /** Index of the first occupied bucket at or after now's, going
+     *  round the wheel; the wheel must not be empty. */
+    std::size_t nextBucket() const;
+
+    std::vector<Slot> slots_;
+    /** Head of the free-slot list, linked through Slot::next. */
+    std::uint32_t freeHead_ = no_slot;
+    Bucket wheel_[wheel_size];
+    std::uint64_t occupied_[bitmap_words] = {};
+    /** Events in the wheel (the rest are in overflow_). */
+    std::size_t wheelPending_ = 0;
+    std::vector<Key> overflow_;
+    /** Schedule order among overflow events; wheel events need none
+     *  (their bucket is FIFO, and see the class comment). */
+    std::uint64_t overflowSeq_ = 0;
     Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t maxPending_ = 0;
 };

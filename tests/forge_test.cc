@@ -231,6 +231,27 @@ TEST(ForgeParams, ParsesSpecsAndRejectsGarbage)
     EXPECT_FALSE(err.empty());
     EXPECT_FALSE(ForgeParams::parse("migratory=oops", p, &err));
     EXPECT_FALSE(ForgeParams::parse("migratory", p, &err));
+    // Counts must be whole numbers that fit their field.
+    EXPECT_FALSE(ForgeParams::parse("fanout=2.5", p, &err));
+    EXPECT_FALSE(ForgeParams::parse("blocks=-1", p, &err));
+    EXPECT_FALSE(ForgeParams::parse("procs=70000", p, &err));
+}
+
+TEST(ForgeParams, ValidateListsEveryProblemInsteadOfAborting)
+{
+    EXPECT_TRUE(ForgeParams{}.validate().empty());
+    for (const char *spec :
+         {"blocks=0", "fanout=0", "migratory=2", "procs=65", "procs=1",
+          "fanout=16", "migratory=0.5,private=0.5,readonly=0.5"}) {
+        ForgeParams p;
+        std::string err;
+        ASSERT_TRUE(ForgeParams::parse(spec, p, &err)) << spec << err;
+        EXPECT_FALSE(p.validate().empty()) << spec;
+    }
+    // migratory=2 is both out of range and over the sum.
+    ForgeParams p;
+    p.migratory = 2;
+    EXPECT_EQ(p.validate().size(), 2u);
 }
 
 TEST(Score, CensusAgreesWithGroundTruthOnStaticRoles)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -663,6 +664,104 @@ TEST(Replacement, ExclusiveLinesAreNeverDropped)
     EXPECT_EQ(m.cache(3).state(a), LineState::read_write);
     EXPECT_EQ(m.cache(3).state(b), LineState::read_only);
     EXPECT_EQ(m.cache(3).stats().evictions, 0u);
+}
+
+TEST(DenseIds, EnumerationsFollowAddressesNotInterningOrder)
+{
+    // Blocks get dense ids in first-touch order; touch them in an
+    // order that is not address order, across two homes, and check
+    // that everything observable still comes out in address order.
+    auto cfg = smallMachine();
+    cfg.cacheCapacityBlocks = 4;
+    Machine m(cfg);
+    const auto blk = [&](NodeId home, int i) {
+        return blockHomedAt(m, home) + static_cast<Addr>(i) * cfg.blockBytes;
+    };
+    const std::vector<Addr> touched = {blk(1, 6), blk(0, 3), blk(1, 0),
+                                       blk(0, 9), blk(0, 1)};
+    for (Addr a : touched) {
+        // Node 2 writes blk(0, 3); node 3 reads the other four.
+        if (a == blk(0, 3))
+            access(m, 2, a, true);
+        else
+            access(m, 3, a, false);
+    }
+    ASSERT_EQ(m.blocks().size(), touched.size());
+    EXPECT_EQ(m.blocks().find(blk(1, 6)), 0u);
+    EXPECT_EQ(m.blocks().find(blk(0, 1)), 4u);
+    EXPECT_EQ(m.blocks().find(blk(0, 2)), no_block);
+
+    std::vector<Addr> sorted = touched;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<Addr> ids;
+    for (BlockId id : m.blocks().byAddress())
+        ids.push_back(m.blocks().addr(id));
+    EXPECT_EQ(ids, sorted);
+
+    MachineSnapshot snap;
+    m.snapshot(snap);
+    for (const CacheSnapshot &c : snap.caches) {
+        EXPECT_TRUE(std::is_sorted(c.lines.begin(), c.lines.end()));
+    }
+    EXPECT_EQ(snap.caches[3].lines.size(), 4u);
+    EXPECT_EQ(snap.caches[2].lines.size(), 1u);
+    for (const DirectorySnapshot &d : snap.directories) {
+        EXPECT_TRUE(std::is_sorted(
+            d.entries.begin(), d.entries.end(),
+            [](const DirEntrySnapshot &a, const DirEntrySnapshot &b) {
+                return a.block < b.block;
+            }));
+    }
+    EXPECT_EQ(snap.directories[0].entries.size(), 3u);
+    EXPECT_EQ(snap.directories[1].entries.size(), 2u);
+
+    // forEachLine sees node 3's four lines, forEachEntry every block
+    // of its home, both in address order.
+    std::vector<Addr> lines;
+    m.cache(3).forEachLine([&](Addr a, LineState st) {
+        EXPECT_EQ(st, LineState::read_only);
+        lines.push_back(a);
+    });
+    EXPECT_EQ(lines,
+              (std::vector<Addr>{blk(0, 1), blk(0, 9), blk(1, 0), blk(1, 6)}));
+    std::vector<Addr> entries;
+    for (NodeId d = 0; d < cfg.numNodes; ++d) {
+        m.directory(d).forEachEntry(
+            [&](Addr a, DirState, std::uint64_t, NodeId) {
+                entries.push_back(a);
+            });
+    }
+    EXPECT_EQ(entries, sorted);
+
+    // Node 3 holds 4 read-only lines at capacity 4: a fifth fetch
+    // drops the lowest-addressed one, blk(0, 1), though it was
+    // interned last.
+    access(m, 3, blk(1, 2), false);
+    EXPECT_EQ(m.cache(3).stats().evictions, 1u);
+    EXPECT_EQ(m.cache(3).state(blk(0, 1)), LineState::invalid);
+    EXPECT_EQ(m.cache(3).state(blk(0, 9)), LineState::read_only);
+    EXPECT_EQ(m.cache(3).state(blk(1, 2)), LineState::read_only);
+    EXPECT_TRUE(check::checkCoherence(m).empty());
+
+    // A restore into a fresh machine interns in snapshot order and
+    // reproduces the same snapshot.
+    Machine fresh(cfg);
+    m.snapshot(snap);
+    fresh.restore(snap);
+    MachineSnapshot again;
+    fresh.snapshot(again);
+    for (NodeId n = 0; n < cfg.numNodes; ++n) {
+        EXPECT_EQ(again.caches[n].lines, snap.caches[n].lines);
+        ASSERT_EQ(again.directories[n].entries.size(),
+                  snap.directories[n].entries.size());
+        for (std::size_t i = 0; i < snap.directories[n].entries.size();
+             ++i) {
+            EXPECT_EQ(again.directories[n].entries[i].block,
+                      snap.directories[n].entries[i].block);
+            EXPECT_EQ(again.directories[n].entries[i].sharers,
+                      snap.directories[n].entries[i].sharers);
+        }
+    }
 }
 
 } // namespace

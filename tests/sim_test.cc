@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -256,6 +258,106 @@ TEST(EventQueue, RandomScheduleMatchesStableSortReference)
                      });
     for (std::uint64_t i = 0; i < total; ++i)
         ASSERT_EQ(fired[i], planned[i].seq) << "position " << i;
+}
+
+/**
+ * Differential driver for the timing wheel: every schedule call is
+ * mirrored into a reference ordered set of (when, seq), and every
+ * event that fires must be the set's earliest entry at that moment.
+ */
+struct WheelDifferential
+{
+    static constexpr Tick wheel = EventQueue::wheel_size;
+
+    explicit WheelDifferential(std::uint64_t seed) : rng(seed) {}
+
+    /** A delay mix: 0 (same tick, also from inside handlers), short
+     *  hops that tie on a tick, anything inside the wheel, the
+     *  wheel's edge, several turns out (the overflow heap), and
+     *  exact multiples of the wheel size (same bucket, later turn). */
+    Tick
+    delay()
+    {
+        switch (rng() % 6) {
+          case 0: return 0;
+          case 1: return rng() % 4;
+          case 2: return rng() % wheel;
+          case 3: return wheel - 2 + rng() % 5;
+          case 4: return rng() % (4 * wheel);
+          default: return wheel * (1 + rng() % 3);
+        }
+    }
+
+    void
+    schedule()
+    {
+        const Tick when = eq.now() + delay();
+        const std::uint64_t seq = nextSeq++;
+        reference.emplace(when, seq);
+        eq.scheduleAt(when, [this, when, seq]() { fire(when, seq); });
+    }
+
+    void
+    fire(Tick when, std::uint64_t seq)
+    {
+        ++fired;
+        const std::pair<Tick, std::uint64_t> expected = *reference.begin();
+        if (expected != std::make_pair(when, seq) || eq.now() != when)
+            ++mismatches;
+        reference.erase(std::make_pair(when, seq));
+        // Zero to two children (one on average) while the budget
+        // lasts, then drain.
+        for (std::uint64_t n = rng() % 3; n > 0 && nextSeq < budget; --n)
+            schedule();
+    }
+
+    EventQueue eq;
+    std::mt19937_64 rng;
+    std::set<std::pair<Tick, std::uint64_t>> reference;
+    std::uint64_t nextSeq = 0;
+    std::uint64_t budget = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t mismatches = 0;
+};
+
+TEST(EventQueue, WheelMatchesReferenceOrderOnRandomSchedules)
+{
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 0xC05305ull}) {
+        WheelDifferential d(seed);
+        d.budget = 60000;
+        for (int i = 0; i < 2000; ++i)
+            d.schedule();
+        while (d.eq.runOne())
+            ASSERT_EQ(d.eq.pending(), d.reference.size());
+        EXPECT_EQ(d.fired, d.budget) << "seed " << seed;
+        EXPECT_EQ(d.mismatches, 0u) << "seed " << seed;
+        EXPECT_TRUE(d.reference.empty());
+        EXPECT_EQ(d.eq.executed(), d.budget);
+    }
+}
+
+TEST(EventQueue, OverflowEventsPrecedeWheelEventsOfTheSameTick)
+{
+    // Tick W is first scheduled from time 0 (a wheel-size delay: the
+    // overflow heap), then from time 1 (inside the wheel), then again
+    // from inside the first one's handler (a 0-delay event). Heap
+    // order is schedule order.
+    constexpr Tick w = EventQueue::wheel_size;
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(w, [&]() {
+        order.push_back(0);
+        eq.scheduleAfter(0, [&]() { order.push_back(3); });
+    });
+    eq.scheduleAt(w + 1, [&]() { order.push_back(4); });
+    eq.scheduleAt(1, [&]() {
+        order.push_back(-1);
+        eq.scheduleAt(w, [&]() { order.push_back(1); });
+        eq.scheduleAt(w, [&]() { order.push_back(2); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+    EXPECT_EQ(eq.now(), w + 1);
 }
 
 } // namespace

@@ -327,6 +327,25 @@ parseFraction(const char *flag, const char *text)
     return v;
 }
 
+/** The --forge spec @p spec, parsed and checked; a bad key, value or
+ *  combination prints each problem and the usage (exit 2). */
+forge::ForgeParams
+parseForgeSpec(const std::string &spec)
+{
+    forge::ForgeParams params;
+    std::string err;
+    std::vector<std::string> errors;
+    if (forge::ForgeParams::parse(spec, params, &err))
+        errors = params.validate();
+    else
+        errors.push_back(err);
+    if (errors.empty())
+        return params;
+    for (const std::string &e : errors)
+        std::fprintf(stderr, "bad --forge spec: %s\n", e.c_str());
+    usage();
+}
+
 CliArgs
 parse(int argc, char **argv)
 {
@@ -576,13 +595,15 @@ cmdRunTraffic(const CliArgs &args)
             args.traceFile, cfg.machine.numNodes);
         source = reader.get();
     } else {
-        forge::ForgeParams params;
-        std::string err;
-        if (!forge::ForgeParams::parse(args.forgeSpec, params,
-                                       &err)) {
-            std::fprintf(stderr, "bad --forge spec: %s\n",
-                         err.c_str());
-            return 2;
+        const forge::ForgeParams params = parseForgeSpec(args.forgeSpec);
+        if (args.haveNodes && args.fuzzNodes < params.numProcs) {
+            std::fprintf(stderr,
+                         "bad --nodes value '%u': the forge spec "
+                         "has %u processors, so it needs at least %u\n",
+                         args.fuzzNodes,
+                         static_cast<unsigned>(params.numProcs),
+                         static_cast<unsigned>(params.numProcs));
+            usage();
         }
         cfg.machine.numNodes =
             args.haveNodes ? static_cast<NodeId>(args.fuzzNodes)
@@ -646,12 +667,7 @@ cmdGen(const CliArgs &args)
 {
     if (args.out.empty())
         usage();
-    forge::ForgeParams params;
-    std::string err;
-    if (!forge::ForgeParams::parse(args.forgeSpec, params, &err)) {
-        std::fprintf(stderr, "bad --forge spec: %s\n", err.c_str());
-        return 2;
-    }
+    const forge::ForgeParams params = parseForgeSpec(args.forgeSpec);
     forge::SynthSource src(params);
     std::printf("forge: %s\n", params.summary().c_str());
     const std::uint64_t n =
