@@ -1,13 +1,8 @@
 #include "harness/trace_cache.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <mutex>
-
-#include "common/log.hh"
-#include "trace/trace_io.hh"
 
 namespace cosmos::harness
 {
@@ -36,10 +31,8 @@ std::string
 cacheKey(const std::string &app, int iterations, OwnerReadPolicy policy,
          std::uint64_t seed)
 {
-    // Same format the old ostringstream produced (lowercase hex seed,
-    // no leading zeros) so on-disk COSMOS_TRACE_CACHE entries stay
-    // valid, but one snprintf instead of a stream: this runs under
-    // the cache map mutex on every fetch.
+    // One snprintf: this runs under the cache map mutex on every
+    // fetch.
     char suffix[48];
     std::snprintf(suffix, sizeof(suffix), "_it%d_%s_s%llx", iterations,
                   policy == OwnerReadPolicy::half_migratory ? "hm"
@@ -62,23 +55,6 @@ cachedTrace(const std::string &app, int iterations,
     }
 
     std::call_once(entry->once, [&] {
-        // Disk cache, if configured. A corrupt or half-written file
-        // (another process died mid-write, stale format) is not
-        // fatal: fall back to re-simulating.
-        const char *dir = std::getenv("COSMOS_TRACE_CACHE");
-        std::string path;
-        if (dir) {
-            std::filesystem::create_directories(dir);
-            path = std::string(dir) + "/" + key + ".trace";
-            if (auto loaded = trace::tryLoadTrace(path)) {
-                entry->trace = std::move(*loaded);
-                return;
-            }
-            if (std::filesystem::exists(path))
-                cosmos_warn("corrupt trace cache file ", path,
-                            "; re-simulating");
-        }
-
         RunConfig cfg;
         cfg.app = app;
         cfg.iterations = iterations;
@@ -88,9 +64,6 @@ cachedTrace(const std::string &app, int iterations,
         // (much longer) bench runs.
         cfg.checkInvariants = false;
         RunResult result = runWorkload(cfg);
-
-        if (dir)
-            trace::saveTraceAtomic(path, result.trace);
         entry->trace = std::move(result.trace);
     });
     return entry->trace;

@@ -3,17 +3,13 @@
  * Process-wide trace cache.
  *
  * The paper evaluates many predictor configurations over the *same*
- * traces (Tables 5-8 all reuse one set of runs). Simulation is the
- * expensive step, so benches fetch traces through this cache: each
- * distinct (app, iterations, policy, seed) is simulated once per
- * process and optionally persisted to the directory named by the
- * COSMOS_TRACE_CACHE environment variable for reuse across binaries.
+ * traces (Tables 5-8 all reuse one set of runs), so benches fetch
+ * traces through this cache: each distinct (app, iterations, policy,
+ * seed) is simulated once per process.
  *
  * cachedTrace is thread-safe: a per-key once-flag guarantees one
  * simulation per key even under concurrent fetches, and distinct
- * keys simulate in parallel. Disk persistence is write-temp+rename,
- * so concurrent binaries never read a half-written trace; a corrupt
- * cache file falls back to re-simulation instead of aborting.
+ * keys simulate in parallel.
  */
 
 #ifndef COSMOS_HARNESS_TRACE_CACHE_HH

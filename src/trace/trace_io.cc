@@ -1,12 +1,9 @@
 #include "trace/trace_io.hh"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
-
-#include <unistd.h>
 
 #include "common/log.hh"
 
@@ -208,30 +205,6 @@ saveTrace(const std::string &path, const Trace &t)
         cosmos_fatal("error writing trace file: ", path);
 }
 
-void
-saveTraceAtomic(const std::string &path, const Trace &t)
-{
-    namespace fs = std::filesystem;
-    // Per-process temp name: concurrent writers race only on the
-    // final rename, which is atomic (last one wins, both complete).
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            cosmos_fatal("cannot open trace file for writing: ", tmp);
-        writeTrace(os, t);
-        os.flush();
-        if (!os)
-            cosmos_fatal("error writing trace file: ", tmp);
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        cosmos_fatal("cannot rename trace file into place: ", path);
-    }
-}
-
 Trace
 loadTrace(const std::string &path)
 {
@@ -239,15 +212,6 @@ loadTrace(const std::string &path)
     if (!is)
         cosmos_fatal("cannot open trace file: ", path);
     return readTrace(is, path);
-}
-
-std::optional<Trace>
-tryLoadTrace(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    return tryReadTrace(is);
 }
 
 } // namespace cosmos::trace

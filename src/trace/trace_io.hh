@@ -47,9 +47,8 @@ Trace readTrace(std::istream &is, const std::string &name = "<stream>");
 
 /**
  * Read a trace from @p is; nullopt on a truncated, corrupt, or
- * implausible stream. The recoverable twin of readTrace() -- callers
- * holding a possibly half-written file (a shared trace cache, user
- * input) fall back to re-simulating instead of aborting. When
+ * implausible stream. The recoverable twin of readTrace() for user
+ * input, which must not abort on a bad file. When
  * @p diag is non-null, a failure fills it with the byte offset and
  * reason.
  */
@@ -59,16 +58,6 @@ std::optional<Trace> tryReadTrace(std::istream &is,
 /** File-path convenience wrappers (fatal on I/O failure). */
 void saveTrace(const std::string &path, const Trace &t);
 Trace loadTrace(const std::string &path);
-
-/** Load @p path; nullopt if missing, unreadable, or malformed. */
-std::optional<Trace> tryLoadTrace(const std::string &path);
-
-/**
- * Save durably against concurrent readers: write to a temporary
- * sibling file, then atomically rename over @p path, so another
- * process loading @p path never observes a half-written trace.
- */
-void saveTraceAtomic(const std::string &path, const Trace &t);
 
 } // namespace cosmos::trace
 

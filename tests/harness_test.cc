@@ -1,15 +1,11 @@
 /**
  * @file
  * Unit tests of the experiment harness: run configuration handling,
- * trace metadata, invariant enforcement, and the trace cache
- * (including its disk persistence).
+ * trace metadata, invariant enforcement, and the trace cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "common/log.hh"
@@ -171,67 +167,6 @@ TEST(TraceCache, KeysOnPolicyAndSeed)
         "micro_rmw", 4, OwnerReadPolicy::half_migratory, 99);
     EXPECT_NE(&hm, &seeded);
     clearTraceCache();
-}
-
-TEST(TraceCache, PersistsToDiskWhenConfigured)
-{
-    namespace fs = std::filesystem;
-    const std::string dir =
-        ::testing::TempDir() + "/cosmos_trace_cache_test";
-    fs::remove_all(dir);
-    setenv("COSMOS_TRACE_CACHE", dir.c_str(), 1);
-
-    clearTraceCache();
-    const auto &first = cachedTrace("micro_rmw", 4);
-    const auto first_size = first.records.size();
-    // A file must now exist.
-    bool found = false;
-    for (const auto &entry : fs::directory_iterator(dir))
-        found |= entry.path().extension() == ".trace";
-    EXPECT_TRUE(found);
-
-    // A fresh in-memory cache must load the same trace from disk.
-    clearTraceCache();
-    const auto &second = cachedTrace("micro_rmw", 4);
-    EXPECT_EQ(second.records.size(), first_size);
-
-    unsetenv("COSMOS_TRACE_CACHE");
-    clearTraceCache();
-    fs::remove_all(dir);
-}
-
-TEST(TraceCache, CorruptDiskCacheFallsBackToSimulation)
-{
-    namespace fs = std::filesystem;
-    const std::string dir =
-        ::testing::TempDir() + "/cosmos_trace_cache_corrupt";
-    fs::remove_all(dir);
-    setenv("COSMOS_TRACE_CACHE", dir.c_str(), 1);
-
-    // Prime the disk cache, then corrupt the file in place.
-    clearTraceCache();
-    const auto good_size = cachedTrace("micro_rmw", 4).records.size();
-    std::string path;
-    for (const auto &entry : fs::directory_iterator(dir))
-        if (entry.path().extension() == ".trace")
-            path = entry.path().string();
-    ASSERT_FALSE(path.empty());
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os << "half-written garbage";
-    }
-
-    // A fresh fetch must re-simulate (warning, not abort) and
-    // produce the same trace.
-    clearTraceCache();
-    setWarningsEnabled(false);
-    const auto &again = cachedTrace("micro_rmw", 4);
-    setWarningsEnabled(true);
-    EXPECT_EQ(again.records.size(), good_size);
-
-    unsetenv("COSMOS_TRACE_CACHE");
-    clearTraceCache();
-    fs::remove_all(dir);
 }
 
 TEST(TraceCache, ConcurrentDistinctKeysSimulateInParallel)

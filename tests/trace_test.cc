@@ -157,6 +157,16 @@ TEST(TraceIo, TryReadRecoversFromMalformedStreams)
         EXPECT_FALSE(tryReadTrace(s).has_value());
     }
 
+    // A short read in the second record: the count promises two
+    // records, and the first of them parsed.
+    Trace two = t;
+    two.records.push_back(r);
+    std::stringstream ts;
+    writeTrace(ts, two);
+    const std::string twoBytes = ts.str();
+    std::stringstream midSecond(twoBytes.substr(0, twoBytes.size() - 9));
+    EXPECT_FALSE(tryReadTrace(midSecond).has_value());
+
     // An out-of-range message type byte is rejected, not trusted.
     std::string corrupt = bytes;
     corrupt[corrupt.size() - 6] = '\x7f'; // type byte of the record
@@ -231,106 +241,6 @@ TEST(TraceIoDeathTest, LoadTracePanicsWithPathAndOffset)
     os.close();
     EXPECT_DEATH(loadTrace(path),
                  "malformed.*cut\\.trace.*byte offset");
-    fs::remove_all(dir);
-}
-
-TEST(TraceIo, TryLoadMissingFileReturnsNullopt)
-{
-    EXPECT_FALSE(
-        tryLoadTrace("/nonexistent/dir/nothing.trace").has_value());
-}
-
-TEST(TraceIo, TryLoadCorruptFilesOnDiskReturnNullopt)
-{
-    namespace fs = std::filesystem;
-    const std::string dir =
-        ::testing::TempDir() + "/cosmos_corrupt_trace";
-    fs::create_directories(dir);
-
-    // A valid two-record file to corrupt from.
-    Trace t;
-    t.app = "corruptible";
-    TraceRecord r;
-    r.block = 0x40;
-    r.type = proto::MsgType::get_ro_request;
-    t.records.push_back(r);
-    r.block = 0x80;
-    r.type = proto::MsgType::get_rw_response;
-    t.records.push_back(r);
-    const std::string good = dir + "/good.trace";
-    saveTrace(good, t);
-    ASSERT_TRUE(tryLoadTrace(good).has_value());
-
-    std::ifstream in(good, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string bytes = ss.str();
-
-    const auto writeFile = [&](const std::string &name,
-                               const std::string &content) {
-        const std::string path = dir + "/" + name;
-        std::ofstream os(path, std::ios::binary);
-        os.write(content.data(),
-                 static_cast<std::streamsize>(content.size()));
-        return path;
-    };
-
-    // Empty file.
-    EXPECT_FALSE(tryLoadTrace(writeFile("empty.trace", ""))
-                     .has_value());
-
-    // Bad magic: flip one bit of the first byte.
-    std::string bad_magic = bytes;
-    bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
-    EXPECT_FALSE(tryLoadTrace(writeFile("badmagic.trace", bad_magic))
-                     .has_value());
-
-    // Truncated mid-header (inside the app-name string).
-    EXPECT_FALSE(tryLoadTrace(writeFile("header.trace",
-                                        bytes.substr(0, 6)))
-                     .has_value());
-
-    // Short read mid-record: the count promises two records but the
-    // file ends partway through the second.
-    EXPECT_FALSE(
-        tryLoadTrace(writeFile("midrecord.trace",
-                               bytes.substr(0, bytes.size() - 9)))
-            .has_value());
-
-    // The pristine file still loads after all that.
-    const auto back = tryLoadTrace(good);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->records, t.records);
-    fs::remove_all(dir);
-}
-
-TEST(TraceIo, AtomicSaveRoundTripsAndLeavesNoTempFile)
-{
-    namespace fs = std::filesystem;
-    Trace t;
-    t.app = "atomic";
-    TraceRecord r;
-    r.block = 0x40;
-    t.records.push_back(r);
-
-    const std::string dir =
-        ::testing::TempDir() + "/cosmos_atomic_save";
-    fs::create_directories(dir);
-    const std::string path = dir + "/x.trace";
-    saveTraceAtomic(path, t);
-    const auto back = tryLoadTrace(path);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->records, t.records);
-    // Only the final file remains -- the temp was renamed away.
-    std::size_t entries = 0;
-    for ([[maybe_unused]] const auto &e : fs::directory_iterator(dir))
-        ++entries;
-    EXPECT_EQ(entries, 1u);
-
-    // Overwriting an existing file is also atomic and lossless.
-    t.records.push_back(r);
-    saveTraceAtomic(path, t);
-    EXPECT_EQ(tryLoadTrace(path)->records.size(), 2u);
     fs::remove_all(dir);
 }
 

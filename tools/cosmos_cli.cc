@@ -2,153 +2,12 @@
  * @file
  * cosmos -- command-line driver for the library.
  *
- * Subcommands:
- *   list                         available workloads
- *   run <app> [options]          simulate; print a run summary and
- *                                optionally save the message trace.
- *                                Instead of a built-in app, traffic
- *                                can come from an external capture
- *                                (--trace-file) or the synthetic
- *                                forge (--forge)
- *   gen [options]                write a forge stream as a text
- *                                trace file (--forge ... --out F)
- *   analyze <trace> [options]    replay a saved trace through Cosmos
- *   sweep <app> [options]        depth x filter accuracy table
- *   accel <app> [options]        baseline vs predictor-accelerated run
- *   figures <app> [options]      write Graphviz signature graphs
- *   census <app> [options]       sharing-pattern census
- *   fuzz [options]               schedule-fuzz the protocol under
- *                                the invariant checker (src/check)
- *   model [options]              exhaustively enumerate every
- *                                reachable protocol state of a small
- *                                configuration (src/model), check
- *                                safety invariants, lint the observed
- *                                transition table, and diff it
- *                                against the declared one
- *   lint [options]               statically analyze the declared
- *                                transition table (src/lint): no
- *                                exploration, just the rows --
- *                                completeness, determinism, message
- *                                conservation, channel discipline,
- *                                forwarding asymmetry
- *
- * Lint options:
- *   --nodes N        configured node count (default 2)
- *   --forwarding / --legacy-forwarding / --policy P
- *                    select the protocol variant whose table to build
- *   --capacity N     cache capacity in blocks (0 = unlimited);
- *                    enables the stale-invalidation rows
- *   --mutate KIND    plant a table bug before analyzing (must-fail CI
- *                    legs): missing_row | overlapping_rows |
- *                    dropped_response | out_of_order_consume |
- *                    forwarding_asymmetry
- *   --out FILE       write the cosmos-lint-v1 JSON artifact
- *
- * Model options:
- *   --nodes N        nodes in the modeled machine (2..4, default 2)
- *   --blocks N       modeled blocks (1..2, default 1)
- *   --reorder K      allow a delivery to overtake up to K (0..7)
- *                    earlier messages on its channel (default 0 =
- *                    the simulator's FIFO contract)
- *   --max-states N   abort (as a liveness failure) past N states
- *   --forwarding     enable SGI-Origin-style request forwarding
- *                    (three-hop). Only inval_rw/downgrade recalls
- *                    are forwarded -- inval_ro sweeps never are,
- *                    since the home itself holds the data while the
- *                    block is shared. The transfer is closed by a
- *                    requester->home fwd_ack that keeps the
- *                    directory entry busy until the forwarded data
- *                    arrived; the full state space closes with zero
- *                    violations (see ARCHITECTURE.md "Protocol
- *                    assumptions")
- *   --legacy-forwarding
- *                    (with --forwarding) drop the fwd_ack handshake
- *                    and release the directory entry on the owner's
- *                    revision message alone -- the pre-fix protocol.
- *                    Negative-testing oracle: the checker must find
- *                    the direct-reply-vs-next-invalidation race
- *   --inject-ignore-inval N
- *                    plant the lost-invalidation bug (the checker
- *                    must find an SWMR counterexample)
- *   --out FILE       write the cosmos-model-v1 JSON artifact
- *   --counterexample-out FILE
- *                    write the first counterexample as a replayable
- *                    schedule (cosmos fuzz --replay-model FILE)
- *
- * Fuzz options:
- *   --seeds N        number of fuzz cases (default 100)
- *   --seed S         first seed of the campaign
- *   --replay S       re-run exactly one seed (and shrink if it fails)
- *   --nodes N        nodes per fuzz machine (default 4)
- *   --blocks N       contended blocks (default 8)
- *   --ops N          random ops per node (default 64)
- *   --jitter T       max extra delivery delay in ticks (default 64)
- *   --forge-mix F    probability in [0,1] that a case's workload is
- *                    structured forge traffic (migratory /
- *                    producer-consumer / false-sharing rounds)
- *                    instead of uniform random ops (default 0)
- *   --inject-ignore-inval N
- *                    plant a lost-invalidation bug: every Nth
- *                    inval_ro ack skips the invalidation (negative
- *                    testing -- the run must FAIL)
- *   --out FILE       write the cosmos-fuzz-v1 JSON artifact
- *   --replay-model FILE
- *                    execute a model-checker counterexample schedule
- *                    through the real simulator (jitter 0); exits
- *                    nonzero when the invariant engine confirms it
- *
- * Traffic options (run / gen):
- *   --trace-file P   (run) replay an external text trace -- a file of
- *                    `<proc> <r|w> <hexaddr>` lines or a benchmark
- *                    directory of such files (.gz transparent when
- *                    zlib is available). Use --nodes for machines
- *                    bigger than the default 16
- *   --forge SPEC     (run/gen) synthetic traffic with ground-truth
- *                    labels; SPEC is key=value pairs: migratory,
- *                    false, private, readonly (class fractions),
- *                    fanout, phase, blocks, procs, seed
- *   --forge-out F    (run --forge) write the per-class accuracy
- *                    report as cosmos-forge-v1 JSON
- *   --chunk N        accesses replayed per barrier-delimited chunk
- *                    (default 2048)
- *   --accesses N     (gen) accesses to write (default 100000)
- *
- * Integer values are checked against their range, and --forge-mix
- * against [0,1]; a non-numeric, negative or out-of-range value prints
- * the usage and exits 2.
- *
- * Common options:
- *   --iterations N   override the workload's iteration count, at
- *                    least the kernel's warm-up iterations; for
- *                    --forge, chunks to generate (default 64)
- *   --seed S         simulation seed (decimal or 0x hex)
- *   --policy P       owner-read policy: half-migratory | downgrade
- *   --depth D        MHR depth for analyze (default 2)
- *   --filter F       filter max count for analyze (default 0)
- *   --threads N      (sweep) total threads, the calling thread
- *                    included, at most 256; 1 runs serially, 0 =
- *                    COSMOS_THREADS, else hardware concurrency
- *   --out FILE       (run) save the trace here; (figures) output
- *                    directory (default ".")
- *   --metrics-out F  write the metrics registry as stable JSON
- *                    (run / analyze / sweep); the export contains
- *                    only Stability::stable metrics, so it is
- *                    byte-identical across runs and thread counts
- *   --trace-out F    record span/instant events for the whole
- *                    command and write Chrome trace-event JSON
- *                    (load in chrome://tracing or ui.perfetto.dev)
- *
- * Examples:
- *   cosmos run moldyn --iterations 20 --out moldyn.trace
- *   cosmos analyze moldyn.trace --depth 3
- *   cosmos sweep unstructured
- *   cosmos sweep micro_migratory --metrics-out metrics.json \
- *       --trace-out trace.json
- *   cosmos accel micro_rmw
- *   cosmos figures appbt --out figs/
- *   cosmos gen --forge migratory=0.4,fanout=3 --out synth.trace
- *   cosmos run --trace-file synth.trace --nodes 16
- *   cosmos run --forge migratory=0.4,phase=8 --forge-out forge.json
+ * Run `cosmos` with no arguments for the command and flag reference.
+ * Both are generated from the `commands` and `flags` tables below,
+ * which also drive parsing: each flag row names the commands that
+ * read it, so a flag the chosen command does not read, a value out
+ * of its row's range, or an unknown enum value prints the usage and
+ * exits 2 before any simulation starts.
  */
 
 #include <cctype>
@@ -158,12 +17,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include <fstream>
+#include <iostream>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "check/fuzzer.hh"
 #include "common/log.hh"
@@ -194,137 +54,297 @@ namespace
 
 using namespace cosmos;
 
-struct CliArgs
+struct CliArgs;
+
+/** A command as the usage lists it: its name is the argv[1] word,
+ *  plus the flag that selects a `run` traffic source. */
+struct Command
 {
-    std::string command;
-    std::string target;
-    int iterations = -1;
-    std::uint64_t seed = 0x5eedc05305ULL;
-    OwnerReadPolicy policy = OwnerReadPolicy::half_migratory;
-    unsigned depth = 2;
-    unsigned filter = 0;
-    unsigned threads = 0;
-    std::string out;
-    std::string metricsOut;
-    std::string traceOut;
-
-    // fuzz-only options
-    unsigned fuzzSeeds = 100;
-    bool haveReplay = false;
-    std::uint64_t replaySeed = 0;
-    unsigned fuzzNodes = 4;
-    unsigned fuzzBlocks = 8;
-    unsigned fuzzOps = 64;
-    Tick fuzzJitter = 64;
-    unsigned injectIgnoreInval = 0;
-    std::string replayModel;
-    double forgeMix = 0.0;
-
-    // traffic options (run / gen)
-    std::string traceFile;
-    std::string forgeSpec;
-    std::string forgeOut;
-    std::size_t chunk = 2048;
-    std::uint64_t genAccesses = 100000;
-
-    // model-only options (--nodes / --blocks are shared with fuzz,
-    // whose defaults differ, so the model command only overrides its
-    // own defaults when the flag was given explicitly)
-    bool haveNodes = false;
-    bool haveBlocks = false;
-    unsigned modelReorder = 0;
-    std::size_t modelMaxStates = 1u << 20;
-    bool forwarding = false;
-    bool legacyForwarding = false;
-    std::string counterexampleOut;
-
-    // lint-only options
-    std::string mutate;
-    unsigned lintCapacity = 0;
+    const char *name;
+    const char *target; ///< the positional argument; nullptr: none
+    unsigned bit;
+    int (*run)(const CliArgs &);
 };
 
-[[noreturn]] void
-usage()
+/**
+ * The parsed command line: one field per flag. The flag table sets
+ * each field from its command's default, then from the command line.
+ */
+struct CliArgs
 {
-    std::fprintf(
-        stderr,
-        "usage: cosmos "
-        "<list|run|gen|analyze|sweep|accel|figures|census|fuzz|model"
-        "|lint> "
-        "[target] [--iterations N] [--seed S]\n"
-        "              [--policy half-migratory|downgrade] "
-        "[--depth D] [--filter F] [--threads N] [--out FILE]\n"
-        "              [--metrics-out FILE] [--trace-out FILE]\n"
-        "       cosmos run --trace-file PATH [--nodes N] [--chunk N] "
-        "[--out FILE]\n"
-        "       cosmos run --forge SPEC [--nodes N] [--iterations N] "
-        "[--forge-out FILE]\n"
-        "       cosmos gen --forge SPEC --out FILE [--accesses N]\n"
-        "       cosmos fuzz [--seeds N] [--seed S] [--replay S] "
-        "[--nodes N] [--blocks N] [--ops N]\n"
-        "              [--jitter T] [--forge-mix F] "
-        "[--inject-ignore-inval N] "
-        "[--replay-model FILE] [--out FILE]\n"
-        "       cosmos model [--nodes N] [--blocks N] [--reorder K] "
-        "[--max-states N] [--forwarding] [--legacy-forwarding]\n"
-        "              [--policy half-migratory|downgrade] "
-        "[--inject-ignore-inval N] [--out FILE]\n"
-        "              [--counterexample-out FILE]\n"
-        "       cosmos lint [--nodes N] [--forwarding] "
-        "[--legacy-forwarding] [--policy P] [--capacity N]\n"
-        "              [--mutate KIND] [--out FILE]\n");
-    std::exit(2);
+    const Command *command = nullptr;
+    std::string target;
+
+    /** Absent: the kernel's own count, or the whole trace. */
+    std::optional<std::uint64_t> iterations;
+    /** Absent under `run --forge`: the spec's processor count. */
+    std::optional<std::uint64_t> nodes;
+    std::optional<std::uint64_t> replay;
+    std::uint64_t seed = 0, depth = 0, filter = 0, threads = 0;
+    std::uint64_t seeds = 0, blocks = 0, ops = 0, jitter = 0;
+    std::uint64_t injectIgnoreInval = 0, chunk = 0, accesses = 0;
+    std::uint64_t reorder = 0, maxStates = 0, capacity = 0;
+    double forgeMix = 0.0;
+    bool forwarding = false, legacyForwarding = false;
+    std::string policy, mutate, out, metricsOut, traceOut, replayModel;
+    std::string traceFile, forgeSpec, forgeOut, counterexampleOut;
+
+    OwnerReadPolicy
+    ownerReadPolicy() const
+    {
+        return policy == "downgrade" ? OwnerReadPolicy::downgrade
+                                     : OwnerReadPolicy::half_migratory;
+    }
+
+    /** --iterations as the harness takes it: -1 when absent. */
+    int
+    iterationCount() const
+    {
+        return iterations ? static_cast<int>(*iterations) : -1;
+    }
+};
+
+/** The commands, one bit each; `run` is three, one per traffic
+ *  source, because each reads different flags. */
+namespace cmd
+{
+enum : unsigned
+{
+    list = 1u << 0, run = 1u << 1, run_trace = 1u << 2, run_forge = 1u << 3,
+    gen = 1u << 4, analyze = 1u << 5, sweep = 1u << 6, accel = 1u << 7,
+    figures = 1u << 8, census = 1u << 9, fuzz = 1u << 10, model = 1u << 11,
+    lint = 1u << 12, all = (1u << 13) - 1,
+
+    /** The commands that simulate a built-in kernel. */
+    kernel = run | sweep | accel | figures | census,
+    traffic = run_trace | run_forge,
+    /** The commands that score one Cosmos configuration. */
+    predict = run | traffic | analyze | accel | figures,
+};
+} // namespace cmd
+
+/**
+ * One flag as one group of commands reads it. The field's type is the
+ * flag's kind: an integer in `range` (std::uint64_t, or std::optional
+ * where absence means something), a fraction in `range` (double), a
+ * string, an enum (a string with `choices`), or a switch (bool, no
+ * `meta`). A flag whose range or default differs between commands has
+ * one row per group; no command is in two rows of one flag.
+ */
+struct Flag
+{
+    using Field =
+        std::variant<std::uint64_t CliArgs::*,
+                     std::optional<std::uint64_t> CliArgs::*,
+                     double CliArgs::*, std::string CliArgs::*,
+                     bool CliArgs::*>;
+    struct Range
+    {
+        std::uint64_t lo = 0;
+        std::uint64_t hi = UINT64_MAX; ///< UINT64_MAX: no bound to show
+    };
+
+    const char *name;
+    const char *meta; ///< the value's placeholder; nullptr: a switch
+    Field field;
+    Range range;
+    const char *def; ///< the default, parsed like a given value
+    unsigned commands;
+    const char *help;
+    const char *choices = nullptr; ///< enum: the values, `, `-separated
+};
+
+const Flag flags[] = {
+    {"--iterations", "N", &CliArgs::iterations, {1, INT_MAX}, nullptr,
+     cmd::kernel | cmd::run_trace,
+     "kernel iterations, at least its warm-up (absent: its default), "
+     "or trace chunks to replay (absent: all)"},
+    {"--iterations", "N", &CliArgs::iterations, {1, INT_MAX}, "64",
+     cmd::run_forge, "chunks to generate"},
+    {"--seed", "S", &CliArgs::seed, {}, "0x5eedc05305",
+     cmd::kernel | cmd::traffic | cmd::fuzz,
+     "simulation seed; for fuzz, the campaign's first seed"},
+    {"--policy", "P", &CliArgs::policy, {}, "half-migratory",
+     cmd::kernel | cmd::traffic | cmd::model | cmd::lint,
+     "owner-read policy of the protocol", "half-migratory, downgrade"},
+    {"--depth", "N", &CliArgs::depth, {1, pred::max_mhr_depth}, "2",
+     cmd::predict, "Cosmos MHR depth"},
+    // The filter counts in an 8-bit saturating counter.
+    {"--filter", "N", &CliArgs::filter, {0, 255}, "0", cmd::predict,
+     "Cosmos filter max count (accel uses at least 1)"},
+    // At most 256, the COSMOS_THREADS cap.
+    {"--threads", "N", &CliArgs::threads, {0, 256}, "0", cmd::sweep,
+     "threads, the caller included; 1 is serial, 0 = COSMOS_THREADS"},
+    {"--out", "FILE", &CliArgs::out, {}, nullptr, cmd::run | cmd::traffic,
+     "save the binary trace here instead of the accuracy summary"},
+    {"--out", "FILE", &CliArgs::out, {}, nullptr, cmd::gen,
+     "the text trace to write (required)"},
+    {"--out", "DIR", &CliArgs::out, {}, ".", cmd::figures,
+     "directory for the Graphviz files"},
+    {"--out", "FILE", &CliArgs::out, {}, nullptr,
+     cmd::fuzz | cmd::model | cmd::lint, "write the JSON report"},
+    {"--metrics-out", "FILE", &CliArgs::metricsOut, {}, nullptr,
+     cmd::run | cmd::traffic | cmd::analyze | cmd::sweep,
+     "write the stable metrics as cosmos-metrics-v1 JSON"},
+    {"--trace-out", "FILE", &CliArgs::traceOut, {}, nullptr, cmd::all,
+     "write the command's trace events as Chrome trace-event JSON"},
+
+    {"--trace-file", "PATH", &CliArgs::traceFile, {}, nullptr,
+     cmd::run_trace, "replay a text trace of `<proc> <r|w> <hexaddr>` "
+     "lines: a file, or a directory of them (.gz with zlib)"},
+    {"--forge", "SPEC", &CliArgs::forgeSpec, {}, nullptr,
+     cmd::run_forge | cmd::gen, "synthetic traffic; SPEC is key=value "
+     "pairs of migratory, false, private, readonly (class fractions), "
+     "fanout, phase, blocks, procs, seed"},
+    {"--forge-out", "FILE", &CliArgs::forgeOut, {}, nullptr,
+     cmd::run_forge, "write the per-class accuracy as cosmos-forge-v1"},
+    {"--nodes", "N", &CliArgs::nodes, {1, max_machine_nodes}, "16",
+     cmd::run_trace, "nodes in the simulated machine"},
+    {"--nodes", "N", &CliArgs::nodes, {1, max_machine_nodes}, nullptr,
+     cmd::run_forge, "nodes in the simulated machine, at least the "
+     "spec's procs; absent, procs"},
+    {"--chunk", "N", &CliArgs::chunk, {1, 1u << 24}, "2048", cmd::traffic,
+     "accesses per barrier-delimited chunk"},
+    {"--accesses", "N", &CliArgs::accesses, {}, "100000", cmd::gen,
+     "accesses to write"},
+
+    {"--seeds", "N", &CliArgs::seeds, {0, 10'000'000}, "100", cmd::fuzz,
+     "fuzz cases to run"},
+    {"--replay", "S", &CliArgs::replay, {}, nullptr, cmd::fuzz,
+     "re-run exactly one seed, and shrink it if it fails"},
+    {"--nodes", "N", &CliArgs::nodes, {1, max_machine_nodes}, "4",
+     cmd::fuzz, "nodes per fuzz machine"},
+    {"--blocks", "N", &CliArgs::blocks, {1, 1u << 16}, "8", cmd::fuzz,
+     "contended blocks per case"},
+    {"--ops", "N", &CliArgs::ops, {0, 1'000'000}, "64", cmd::fuzz,
+     "random ops per node"},
+    {"--jitter", "T", &CliArgs::jitter, {0, 1'000'000'000}, "64",
+     cmd::fuzz, "max extra delivery delay in ticks"},
+    {"--forge-mix", "F", &CliArgs::forgeMix, {0, 1}, "0", cmd::fuzz,
+     "probability that a case runs structured forge traffic"},
+    {"--replay-model", "FILE", &CliArgs::replayModel, {}, nullptr,
+     cmd::fuzz, "run a `cosmos model` counterexample in the simulator "
+     "(jitter 0); exits 1 when it is confirmed"},
+    // The model keeps the fault's residue in one byte.
+    {"--inject-ignore-inval", "N", &CliArgs::injectIgnoreInval, {0, 255},
+     "0", cmd::fuzz | cmd::model, "plant the lost-invalidation bug in "
+     "every Nth inval_ro ack (0 = off); the run must fail"},
+
+    {"--nodes", "N", &CliArgs::nodes, {2, model::max_nodes}, "2",
+     cmd::model, "nodes in the modeled machine"},
+    {"--blocks", "N", &CliArgs::blocks, {1, model::max_blocks}, "1",
+     cmd::model, "modeled blocks"},
+    {"--reorder", "K", &CliArgs::reorder, {0, model::max_queue - 1}, "0",
+     cmd::model,
+     "let a delivery overtake up to K earlier messages on its channel"},
+    // State ids are 32-bit.
+    {"--max-states", "N", &CliArgs::maxStates, {1, 1u << 31}, "1048576",
+     cmd::model, "fail (as a liveness failure) past N states"},
+    {"--counterexample-out", "FILE", &CliArgs::counterexampleOut, {},
+     nullptr, cmd::model,
+     "write the first counterexample for `cosmos fuzz --replay-model`"},
+    {"--nodes", "N", &CliArgs::nodes, {1, max_machine_nodes}, "2",
+     cmd::lint, "configured node count"},
+    {"--forwarding", nullptr, &CliArgs::forwarding, {}, nullptr,
+     cmd::model | cmd::lint, "three-hop request forwarding, closed by "
+     "a requester->home fwd_ack"},
+    {"--legacy-forwarding", nullptr, &CliArgs::legacyForwarding, {},
+     nullptr, cmd::model | cmd::lint, "with --forwarding: no fwd_ack, "
+     "the pre-fix protocol whose race the model must find"},
+    {"--capacity", "N", &CliArgs::capacity, {0, 1u << 20}, "0", cmd::lint,
+     "cache capacity in blocks (0 = unlimited; else the "
+     "stale-invalidation rows are in)"},
+    {"--mutate", "KIND", &CliArgs::mutate, {}, "none", cmd::lint,
+     "plant one table bug before analyzing; the run must fail",
+     "none, missing_row, overlapping_rows, dropped_response, "
+     "out_of_order_consume, forwarding_asymmetry"},
+};
+
+/** The row of @p name that one of @p commands reads, or nullptr. */
+const Flag *
+findFlag(const std::string &name, unsigned commands)
+{
+    for (const Flag &f : flags)
+        if (name == f.name && (f.commands & commands) != 0)
+            return &f;
+    return nullptr;
 }
 
-/** Reject @p flag's @p value: say what was expected, print the
+[[noreturn]] void usage(const std::string &message = "");
+
+/** `lo..hi` of @p f's range. */
+std::string
+rangeText(const Flag &f)
+{
+    return std::to_string(f.range.lo) + ".." + std::to_string(f.range.hi);
+}
+
+/** Reject @p text as @p f's value: say what was expected, print the
  *  usage, exit 2. */
 [[noreturn]] void
-badValue(const char *flag, const std::string &value, std::uint64_t lo,
-         std::uint64_t hi)
+badValue(const Flag &f, const char *text, const std::string &expected)
 {
-    std::fprintf(stderr, "bad %s value '%s': expected an integer in "
-                         "%llu..%llu\n",
-                 flag, value.c_str(), static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi));
-    usage();
+    usage(std::string("bad ") + f.name + " value '" + text +
+          "': expected " + expected);
 }
 
 /**
- * An integer flag value in [@p lo, @p hi]: digits only, no sign or
- * blanks; base 0 also takes 0x hex. A non-numeric, negative or
- * out-of-range value is a usage error (badValue).
+ * An integer in @p f's range: decimal or 0x hex digits only, no sign
+ * or blanks.
  */
 std::uint64_t
-parseInteger(const char *flag, const char *text, std::uint64_t lo,
-             std::uint64_t hi, int base = 10)
+parseInteger(const Flag &f, const char *text)
 {
+    const bool hex = text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
     char *end = nullptr;
     errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, base);
+    const unsigned long long v = std::strtoull(text, &end, hex ? 16 : 10);
     if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-        *end != '\0' || errno == ERANGE || v < lo || v > hi)
-        badValue(flag, text, lo, hi);
+        *end != '\0' || errno == ERANGE || v < f.range.lo ||
+        v > f.range.hi)
+        badValue(f, text, "an integer in " + rangeText(f));
     return v;
 }
 
-/**
- * A probability flag value in [0, 1]: a plain decimal number, no
- * leading sign or blanks. Anything else is a usage error.
- */
+/** A number in @p f's range: plain decimal, no sign or blanks. */
 double
-parseFraction(const char *flag, const char *text)
+parseFraction(const Flag &f, const char *text)
 {
     char *end = nullptr;
     const double v = std::strtod(text, &end);
     const bool plain = std::isdigit(static_cast<unsigned char>(text[0])) ||
                        text[0] == '.';
-    if (!plain || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
-        std::fprintf(stderr, "bad %s value '%s': expected a number in "
-                             "0..1\n",
-                     flag, text);
-        usage();
-    }
+    if (!plain || *end != '\0' || !(v >= static_cast<double>(f.range.lo) &&
+                                     v <= static_cast<double>(f.range.hi)))
+        badValue(f, text, "a number in " + rangeText(f));
     return v;
+}
+
+/** Check @p text against @p f's value kind and store it in @p args. */
+void
+store(CliArgs &args, const Flag &f, const char *text)
+{
+    std::visit(
+        [&](auto field) {
+            auto &slot = args.*field;
+            using T = std::remove_reference_t<decltype(slot)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                slot = true;
+            } else if constexpr (std::is_same_v<T, double>) {
+                slot = parseFraction(f, text);
+            } else if constexpr (std::is_same_v<T, std::string>) {
+                const std::string sep = ", ";
+                if (f.choices != nullptr &&
+                    (std::strchr(text, ',') != nullptr ||
+                     (sep + f.choices + sep).find(sep + text + sep) ==
+                         std::string::npos))
+                    badValue(f, text, std::string("one of ") + f.choices);
+                slot = text;
+            } else {
+                slot = parseInteger(f, text);
+            }
+        },
+        f.field);
 }
 
 /** The --forge spec @p spec, parsed and checked; a bad key, value or
@@ -334,130 +354,15 @@ parseForgeSpec(const std::string &spec)
 {
     forge::ForgeParams params;
     std::string err;
-    std::vector<std::string> errors;
-    if (forge::ForgeParams::parse(spec, params, &err))
-        errors = params.validate();
-    else
-        errors.push_back(err);
+    const std::vector<std::string> errors =
+        forge::ForgeParams::parse(spec, params, &err)
+            ? params.validate()
+            : std::vector<std::string>{err};
     if (errors.empty())
         return params;
     for (const std::string &e : errors)
         std::fprintf(stderr, "bad --forge spec: %s\n", e.c_str());
     usage();
-}
-
-CliArgs
-parse(int argc, char **argv)
-{
-    if (argc < 2)
-        usage();
-    CliArgs args;
-    args.command = argv[1];
-    int i = 2;
-    if (i < argc && argv[i][0] != '-')
-        args.target = argv[i++];
-    for (; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage();
-            return argv[++i];
-        };
-        if (flag == "--iterations") {
-            args.iterations = static_cast<int>(parseInteger(
-                "--iterations", value(), 1, INT_MAX));
-        } else if (flag == "--seed") {
-            args.seed =
-                parseInteger("--seed", value(), 0, UINT64_MAX, 0);
-        } else if (flag == "--policy") {
-            const std::string p = value();
-            if (p == "half-migratory")
-                args.policy = OwnerReadPolicy::half_migratory;
-            else if (p == "downgrade")
-                args.policy = OwnerReadPolicy::downgrade;
-            else
-                usage();
-        } else if (flag == "--depth") {
-            args.depth = static_cast<unsigned>(
-                parseInteger("--depth", value(), 1, pred::max_mhr_depth));
-        } else if (flag == "--filter") {
-            // The filter counts in an 8-bit saturating counter.
-            args.filter = static_cast<unsigned>(
-                parseInteger("--filter", value(), 0, 255));
-        } else if (flag == "--threads") {
-            // At most 256, the COSMOS_THREADS cap.
-            args.threads = static_cast<unsigned>(
-                parseInteger("--threads", value(), 0, 256));
-        } else if (flag == "--out") {
-            args.out = value();
-        } else if (flag == "--metrics-out") {
-            args.metricsOut = value();
-        } else if (flag == "--trace-out") {
-            args.traceOut = value();
-        } else if (flag == "--seeds") {
-            args.fuzzSeeds = static_cast<unsigned>(
-                parseInteger("--seeds", value(), 0, 10'000'000));
-        } else if (flag == "--replay") {
-            args.haveReplay = true;
-            args.replaySeed =
-                parseInteger("--replay", value(), 0, UINT64_MAX, 0);
-        } else if (flag == "--nodes") {
-            args.fuzzNodes = static_cast<unsigned>(
-                parseInteger("--nodes", value(), 1, max_machine_nodes));
-            args.haveNodes = true;
-        } else if (flag == "--blocks") {
-            args.fuzzBlocks = static_cast<unsigned>(
-                parseInteger("--blocks", value(), 1, 1u << 16));
-            args.haveBlocks = true;
-        } else if (flag == "--ops") {
-            args.fuzzOps = static_cast<unsigned>(
-                parseInteger("--ops", value(), 0, 1'000'000));
-        } else if (flag == "--jitter") {
-            args.fuzzJitter = parseInteger("--jitter", value(), 0,
-                                           1'000'000'000, 0);
-        } else if (flag == "--inject-ignore-inval") {
-            // The model keeps the fault's residue in one byte.
-            args.injectIgnoreInval = static_cast<unsigned>(
-                parseInteger("--inject-ignore-inval", value(), 0, 255));
-        } else if (flag == "--replay-model") {
-            args.replayModel = value();
-        } else if (flag == "--forge-mix") {
-            args.forgeMix = parseFraction("--forge-mix", value());
-        } else if (flag == "--trace-file") {
-            args.traceFile = value();
-        } else if (flag == "--forge") {
-            args.forgeSpec = value();
-        } else if (flag == "--forge-out") {
-            args.forgeOut = value();
-        } else if (flag == "--chunk") {
-            args.chunk = static_cast<std::size_t>(
-                parseInteger("--chunk", value(), 1, 1u << 24, 0));
-        } else if (flag == "--accesses") {
-            args.genAccesses =
-                parseInteger("--accesses", value(), 0, UINT64_MAX, 0);
-        } else if (flag == "--reorder") {
-            args.modelReorder = static_cast<unsigned>(
-                parseInteger("--reorder", value(), 0, model::max_queue - 1));
-        } else if (flag == "--max-states") {
-            // State ids are 32-bit.
-            args.modelMaxStates = static_cast<std::size_t>(
-                parseInteger("--max-states", value(), 1, 1u << 31, 0));
-        } else if (flag == "--forwarding") {
-            args.forwarding = true;
-        } else if (flag == "--legacy-forwarding") {
-            args.legacyForwarding = true;
-        } else if (flag == "--counterexample-out") {
-            args.counterexampleOut = value();
-        } else if (flag == "--mutate") {
-            args.mutate = value();
-        } else if (flag == "--capacity") {
-            args.lintCapacity = static_cast<unsigned>(
-                parseInteger("--capacity", value(), 0, 1u << 20));
-        } else {
-            usage();
-        }
-    }
-    return args;
 }
 
 /**
@@ -468,18 +373,15 @@ parse(int argc, char **argv)
 void
 requireWarmupFits(const CliArgs &args)
 {
-    if (args.iterations < 0)
+    if (!args.iterations)
         return;
     const int warmup =
         wl::makeWorkload(args.target)->info().warmupIterations;
-    if (args.iterations < warmup) {
-        std::fprintf(stderr,
-                     "bad --iterations value '%d': %s discards its "
-                     "first %d iterations as warm-up, so it needs at "
-                     "least %d\n",
-                     args.iterations, args.target.c_str(), warmup,
-                     warmup);
-        usage();
+    if (args.iterationCount() < warmup) {
+        const std::string w = std::to_string(warmup);
+        usage("bad --iterations value '" + std::to_string(*args.iterations) +
+              "': " + args.target + " discards its first " + w +
+              " iterations as warm-up, so it needs at least " + w);
     }
 }
 
@@ -489,11 +391,18 @@ makeRunConfig(const CliArgs &args)
     requireWarmupFits(args);
     harness::RunConfig cfg;
     cfg.app = args.target;
-    cfg.iterations = args.iterations;
+    cfg.iterations = args.iterationCount();
     cfg.seed = args.seed;
-    cfg.machine.ownerReadPolicy = args.policy;
+    cfg.machine.ownerReadPolicy = args.ownerReadPolicy();
     cfg.checkInvariants = false;
     return cfg;
+}
+
+pred::CosmosConfig
+cosmosConfig(const CliArgs &args)
+{
+    return pred::CosmosConfig{static_cast<unsigned>(args.depth),
+                              static_cast<unsigned>(args.filter)};
 }
 
 /** Write @p reg to @p path and confirm on stdout (no-op when the
@@ -507,18 +416,29 @@ maybeWriteMetrics(const obs::Registry &reg, const std::string &path)
         std::printf("metrics written to %s\n", path.c_str());
 }
 
-void
-printAnalysis(const trace::Trace &trace, unsigned depth,
-              unsigned filter, obs::Registry *reg = nullptr)
+/** Confirm on stdout that @p what went to @p path, or say on stderr
+ *  that it could not; returns @p ok. */
+bool
+written(bool ok, const char *what, const std::string &path)
 {
-    pred::PredictorBank bank(trace.numNodes,
-                             pred::CosmosConfig{depth, filter});
+    if (ok)
+        std::printf("%s written to %s\n", what, path.c_str());
+    else
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return ok;
+}
+
+void
+printAnalysis(const trace::Trace &trace, const pred::CosmosConfig &config,
+              obs::Registry *reg = nullptr)
+{
+    pred::PredictorBank bank(trace.numNodes, config);
     bank.replay(trace);
     if (reg != nullptr)
         bank.publishMetrics(*reg);
     const auto &acc = bank.accuracy();
     std::printf("Cosmos depth %u, filter %u over %zu messages:\n",
-                depth, filter, trace.records.size());
+                config.depth, config.filterMax, trace.records.size());
     std::printf("  cache %.1f%%  directory %.1f%%  overall %.1f%%\n",
                 acc.cacheSide().percent(),
                 acc.directorySide().percent(),
@@ -540,7 +460,7 @@ printAnalysis(const trace::Trace &trace, unsigned depth,
 }
 
 int
-cmdList()
+cmdList(const CliArgs &)
 {
     std::printf("paper applications:\n");
     for (const auto &name : wl::paperWorkloads())
@@ -551,6 +471,22 @@ cmdList()
           "micro_false_sharing"})
         std::printf("  %s\n", name);
     return 0;
+}
+
+/** Save @p trace to --out, or else print its accuracy summary when
+ *  @p analyze; then write --metrics-out. */
+void
+reportTrace(const CliArgs &args, const trace::Trace &trace,
+            obs::Registry &reg, bool analyze)
+{
+    if (!args.out.empty()) {
+        trace::saveTrace(args.out, trace);
+        std::printf("trace written to %s\n", args.out.c_str());
+    } else if (analyze) {
+        printAnalysis(trace, cosmosConfig(args),
+                      args.metricsOut.empty() ? nullptr : &reg);
+    }
+    maybeWriteMetrics(reg, args.metricsOut);
 }
 
 /** The shared first lines of every run summary. */
@@ -567,95 +503,70 @@ printRunSummary(const std::string &label,
     std::printf("network: %s\n", result.network.format().c_str());
 }
 
-/** `cosmos run --trace-file` / `cosmos run --forge`: pull traffic
- *  from an external capture or the synthetic forge instead of a
- *  built-in kernel. */
-int
-cmdRunTraffic(const CliArgs &args)
+/** The machine and chunking of `cosmos run --trace-file` and
+ *  `cosmos run --forge`, which pull traffic from an external capture
+ *  or the synthetic forge instead of a built-in kernel. */
+harness::TrafficConfig
+makeTrafficConfig(const CliArgs &args, obs::Registry &reg)
 {
-    if (!args.traceFile.empty() && !args.forgeSpec.empty())
-        usage();
-    obs::Registry reg;
     harness::TrafficConfig cfg;
-    cfg.machine.ownerReadPolicy = args.policy;
+    cfg.machine.ownerReadPolicy = args.ownerReadPolicy();
     cfg.machine.seed = args.seed;
     cfg.opsPerIteration = args.chunk;
-    cfg.maxIterations = args.iterations;
+    cfg.maxIterations = args.iterationCount();
     if (!args.metricsOut.empty())
         cfg.metrics = &reg;
+    return cfg;
+}
 
-    std::unique_ptr<forge::TextTraceReader> reader;
-    std::unique_ptr<forge::SynthSource> synth;
-    forge::TrafficSource *source = nullptr;
-    if (!args.traceFile.empty()) {
-        cfg.machine.numNodes =
-            args.haveNodes ? static_cast<NodeId>(args.fuzzNodes)
-                           : cfg.machine.numNodes;
-        reader = std::make_unique<forge::TextTraceReader>(
-            args.traceFile, cfg.machine.numNodes);
-        source = reader.get();
-    } else {
-        const forge::ForgeParams params = parseForgeSpec(args.forgeSpec);
-        if (args.haveNodes && args.fuzzNodes < params.numProcs) {
-            std::fprintf(stderr,
-                         "bad --nodes value '%u': the forge spec "
-                         "has %u processors, so it needs at least %u\n",
-                         args.fuzzNodes,
-                         static_cast<unsigned>(params.numProcs),
-                         static_cast<unsigned>(params.numProcs));
-            usage();
-        }
-        cfg.machine.numNodes =
-            args.haveNodes ? static_cast<NodeId>(args.fuzzNodes)
-                           : params.numProcs;
-        cfg.machine.blockBytes = params.blockBytes;
-        cfg.machine.pageBytes = params.pageBytes;
-        if (cfg.maxIterations < 0)
-            cfg.maxIterations = 64; // chunks; forge is unbounded
-        synth = std::make_unique<forge::SynthSource>(params);
-        source = synth.get();
-        std::printf("forge: %s\n", params.summary().c_str());
-    }
+int
+cmdRunTrace(const CliArgs &args)
+{
+    obs::Registry reg;
+    harness::TrafficConfig cfg = makeTrafficConfig(args, reg);
+    cfg.machine.numNodes = static_cast<NodeId>(*args.nodes);
+    forge::TextTraceReader reader(args.traceFile, cfg.machine.numNodes);
+    const auto result = harness::runTraffic(cfg, reader);
+    printRunSummary(reader.name(), result);
+    std::printf("ingested: %llu accesses over %llu lines "
+                "(%llu bytes%s)\n",
+                static_cast<unsigned long long>(reader.accessesRead()),
+                static_cast<unsigned long long>(reader.linesRead()),
+                static_cast<unsigned long long>(reader.bytesRead()),
+                forge::gzipSupported() ? ", gzip-capable" : "");
+    reportTrace(args, result.trace, reg, true);
+    return 0;
+}
 
-    const auto result = harness::runTraffic(cfg, *source);
-    printRunSummary(source->name(), result);
-    if (reader != nullptr) {
-        std::printf("ingested: %llu accesses over %llu lines "
-                    "(%llu bytes%s)\n",
-                    static_cast<unsigned long long>(
-                        reader->accessesRead()),
-                    static_cast<unsigned long long>(
-                        reader->linesRead()),
-                    static_cast<unsigned long long>(
-                        reader->bytesRead()),
-                    forge::gzipSupported() ? ", gzip-capable" : "");
+int
+cmdRunForge(const CliArgs &args)
+{
+    const forge::ForgeParams params = parseForgeSpec(args.forgeSpec);
+    if (args.nodes && *args.nodes < params.numProcs) {
+        const std::string procs = std::to_string(params.numProcs);
+        usage("bad --nodes value '" + std::to_string(*args.nodes) +
+              "': the forge spec has " + procs +
+              " processors, so it needs at least " + procs);
     }
-
-    if (synth != nullptr) {
-        const auto score = forge::scoreByClass(
-            result.trace, *synth,
-            pred::CosmosConfig{args.depth, args.filter});
-        std::fputs(score.formatTable().c_str(), stdout);
-        if (!args.forgeOut.empty()) {
-            if (forge::writeForgeReport(args.forgeOut, *synth,
-                                        result.trace, score)) {
-                std::printf("forge report written to %s\n",
-                            args.forgeOut.c_str());
-            } else {
-                std::fprintf(stderr, "cannot write %s\n",
-                             args.forgeOut.c_str());
-                return 1;
-            }
-        }
-    }
-    if (!args.out.empty()) {
-        trace::saveTrace(args.out, result.trace);
-        std::printf("trace written to %s\n", args.out.c_str());
-    } else if (synth == nullptr) {
-        printAnalysis(result.trace, args.depth, args.filter,
-                      args.metricsOut.empty() ? nullptr : &reg);
-    }
-    maybeWriteMetrics(reg, args.metricsOut);
+    obs::Registry reg;
+    harness::TrafficConfig cfg = makeTrafficConfig(args, reg);
+    cfg.machine.numNodes =
+        static_cast<NodeId>(args.nodes.value_or(params.numProcs));
+    cfg.machine.blockBytes = params.blockBytes;
+    cfg.machine.pageBytes = params.pageBytes;
+    forge::SynthSource synth(params);
+    std::printf("forge: %s\n", params.summary().c_str());
+    const auto result = harness::runTraffic(cfg, synth);
+    printRunSummary(synth.name(), result);
+    const auto score =
+        forge::scoreByClass(result.trace, synth, cosmosConfig(args));
+    std::fputs(score.formatTable().c_str(), stdout);
+    if (!args.forgeOut.empty() &&
+        !written(forge::writeForgeReport(args.forgeOut, synth,
+                                         result.trace, score),
+                 "forge report", args.forgeOut))
+        return 1;
+    reportTrace(args, result.trace, reg, false);
     return 0;
 }
 
@@ -666,12 +577,12 @@ int
 cmdGen(const CliArgs &args)
 {
     if (args.out.empty())
-        usage();
+        usage("cosmos gen: --out is required");
     const forge::ForgeParams params = parseForgeSpec(args.forgeSpec);
     forge::SynthSource src(params);
     std::printf("forge: %s\n", params.summary().c_str());
     const std::uint64_t n =
-        forge::writeTextTrace(args.out, src, args.genAccesses);
+        forge::writeTextTrace(args.out, src, args.accesses);
     std::vector<std::uint64_t> byClass(forge::num_block_classes, 0);
     for (forge::BlockClass c : src.labels())
         ++byClass[static_cast<unsigned>(c)];
@@ -692,13 +603,6 @@ cmdGen(const CliArgs &args)
 int
 cmdRun(const CliArgs &args)
 {
-    if (!args.traceFile.empty() || !args.forgeSpec.empty()) {
-        if (!args.target.empty())
-            usage();
-        return cmdRunTraffic(args);
-    }
-    if (args.target.empty())
-        usage();
     obs::Registry reg;
     harness::RunConfig cfg = makeRunConfig(args);
     if (!args.metricsOut.empty())
@@ -717,22 +621,13 @@ cmdRun(const CliArgs &args)
                     result.totals.writeMisses),
                 static_cast<unsigned long long>(
                     result.totals.upgrades));
-    if (!args.out.empty()) {
-        trace::saveTrace(args.out, result.trace);
-        std::printf("trace written to %s\n", args.out.c_str());
-    } else {
-        printAnalysis(result.trace, args.depth, args.filter,
-                      args.metricsOut.empty() ? nullptr : &reg);
-    }
-    maybeWriteMetrics(reg, args.metricsOut);
+    reportTrace(args, result.trace, reg, true);
     return 0;
 }
 
 int
 cmdAnalyze(const CliArgs &args)
 {
-    if (args.target.empty())
-        usage();
     std::ifstream is(args.target, std::ios::binary);
     if (!is) {
         std::fprintf(stderr, "cannot open trace file %s\n",
@@ -750,17 +645,13 @@ cmdAnalyze(const CliArgs &args)
     std::printf("trace: app=%s nodes=%u iterations=%d\n",
                 trace.app.c_str(), trace.numNodes, trace.iterations);
     obs::Registry reg;
-    printAnalysis(trace, args.depth, args.filter,
-                  args.metricsOut.empty() ? nullptr : &reg);
-    maybeWriteMetrics(reg, args.metricsOut);
+    reportTrace(args, trace, reg, true);
     return 0;
 }
 
 int
 cmdSweep(const CliArgs &args)
 {
-    if (args.target.empty())
-        usage();
     requireWarmupFits(args);
     // All 12 depth x filter cells replay the one simulated trace
     // concurrently through the parallel sweep engine.
@@ -769,12 +660,13 @@ cmdSweep(const CliArgs &args)
         for (unsigned filter = 0; filter <= 2; ++filter)
             jobs.push_back(
                 {.app = args.target,
-                 .iterations = args.iterations,
-                 .policy = args.policy,
+                 .iterations = args.iterationCount(),
+                 .policy = args.ownerReadPolicy(),
                  .seed = args.seed,
                  .config = pred::CosmosConfig{depth, filter}});
     obs::Registry reg;
-    harness::SweepOptions opts{.threads = args.threads};
+    harness::SweepOptions opts{
+        .threads = static_cast<unsigned>(args.threads)};
     if (!args.metricsOut.empty())
         opts.metrics = &reg;
     const auto results = harness::runSweep(jobs, opts);
@@ -799,17 +691,12 @@ cmdSweep(const CliArgs &args)
 int
 cmdFigures(const CliArgs &args)
 {
-    if (args.target.empty())
-        usage();
     auto result = harness::runWorkload(makeRunConfig(args));
-    pred::PredictorBank bank(result.trace.numNodes,
-                             pred::CosmosConfig{args.depth,
-                                                args.filter});
+    pred::PredictorBank bank(result.trace.numNodes, cosmosConfig(args));
     bank.replay(result.trace);
-    const std::string dir = args.out.empty() ? "." : args.out;
     for (const auto &path : harness::dumpSignatureDots(
              args.target, bank.arcs(proto::Role::cache),
-             bank.arcs(proto::Role::directory), dir)) {
+             bank.arcs(proto::Role::directory), args.out)) {
         std::printf("wrote %s\n", path.c_str());
     }
     std::printf("render with: dot -Tsvg <file> -o <file>.svg\n");
@@ -819,8 +706,6 @@ cmdFigures(const CliArgs &args)
 int
 cmdCensus(const CliArgs &args)
 {
-    if (args.target.empty())
-        usage();
     auto result = harness::runWorkload(makeRunConfig(args));
     const auto census = trace::classifyTrace(result.trace);
     std::printf("sharing-pattern census of %s (%llu classified "
@@ -835,13 +720,11 @@ cmdCensus(const CliArgs &args)
 int
 cmdAccel(const CliArgs &args)
 {
-    if (args.target.empty())
-        usage();
     const auto cfg = makeRunConfig(args);
     const auto base = harness::runWorkload(cfg);
     accel::OnlineOptions opts;
-    opts.predictor = pred::CosmosConfig{args.depth,
-                                        std::max(args.filter, 1u)};
+    opts.predictor = cosmosConfig(args);
+    opts.predictor.filterMax = std::max(opts.predictor.filterMax, 1u);
     const auto acc = harness::runAccelerated(cfg, opts);
     const double speedup =
         100.0 * (static_cast<double>(base.finalTime) /
@@ -876,13 +759,13 @@ check::FuzzOptions
 makeFuzzOptions(const CliArgs &args)
 {
     check::FuzzOptions opts;
-    opts.numSeeds = args.fuzzSeeds;
+    opts.numSeeds = static_cast<unsigned>(args.seeds);
     opts.baseSeed = args.seed;
-    opts.numNodes = static_cast<NodeId>(args.fuzzNodes);
-    opts.numBlocks = args.fuzzBlocks;
-    opts.opsPerNode = args.fuzzOps;
-    opts.maxJitter = args.fuzzJitter;
-    opts.ignoreInvalEvery = args.injectIgnoreInval;
+    opts.numNodes = static_cast<NodeId>(*args.nodes);
+    opts.numBlocks = static_cast<unsigned>(args.blocks);
+    opts.opsPerNode = static_cast<unsigned>(args.ops);
+    opts.maxJitter = args.jitter;
+    opts.ignoreInvalEvery = static_cast<unsigned>(args.injectIgnoreInval);
     opts.forgeMix = args.forgeMix;
     return opts;
 }
@@ -926,44 +809,23 @@ replayModelCounterexample(const CliArgs &args)
 int
 cmdModel(const CliArgs &args)
 {
-    // --nodes and --blocks are shared with fuzz; the model's
-    // fixed-size state bounds them tighter.
-    const auto bound = [](const char *flag, unsigned v, unsigned lo,
-                          unsigned hi) {
-        if (v < lo || v > hi)
-            badValue(flag, std::to_string(v), lo, hi);
-    };
-    if (args.haveNodes)
-        bound("--nodes", args.fuzzNodes, 2, model::max_nodes);
-    if (args.haveBlocks)
-        bound("--blocks", args.fuzzBlocks, 1, model::max_blocks);
-
     model::ExploreOptions opt;
-    opt.mc.numNodes = static_cast<NodeId>(args.haveNodes
-                                              ? args.fuzzNodes
-                                              : 2u);
-    opt.mc.numBlocks = args.haveBlocks ? args.fuzzBlocks : 1u;
-    opt.mc.reorder = args.modelReorder;
-    opt.mc.policy = args.policy;
+    opt.mc.numNodes = static_cast<NodeId>(*args.nodes);
+    opt.mc.numBlocks = static_cast<unsigned>(args.blocks);
+    opt.mc.reorder = static_cast<unsigned>(args.reorder);
+    opt.mc.policy = args.ownerReadPolicy();
     opt.mc.forwarding = args.forwarding;
     opt.mc.legacyForwarding = args.legacyForwarding;
-    opt.mc.ignoreInvalEvery = args.injectIgnoreInval;
-    opt.maxStates = args.modelMaxStates;
-    opt.mc.validate();
+    opt.mc.ignoreInvalEvery = static_cast<unsigned>(args.injectIgnoreInval);
+    opt.maxStates = static_cast<std::size_t>(args.maxStates);
 
     const model::ExploreResult res = model::explore(opt);
     std::fputs(model::renderReport(opt.mc, res).c_str(), stdout);
 
-    if (!args.out.empty()) {
-        if (model::writeReportJson(args.out, opt.mc, res)) {
-            std::printf("model report written to %s\n",
-                        args.out.c_str());
-        } else {
-            std::fprintf(stderr, "cannot write %s\n",
-                         args.out.c_str());
-            return 1;
-        }
-    }
+    if (!args.out.empty() &&
+        !written(model::writeReportJson(args.out, opt.mc, res),
+                 "model report", args.out))
+        return 1;
     if (!args.counterexampleOut.empty() &&
         !res.counterexamples.empty()) {
         if (model::writeCounterexample(args.counterexampleOut, opt.mc,
@@ -985,20 +847,15 @@ int
 cmdLint(const CliArgs &args)
 {
     lint::MutationKind kind = lint::MutationKind::none;
-    if (!args.mutate.empty() &&
-        !lint::parseMutation(args.mutate, kind)) {
-        std::fprintf(stderr, "unknown --mutate kind '%s'\n",
-                     args.mutate.c_str());
-        return 2;
-    }
+    const bool known = lint::parseMutation(args.mutate, kind);
+    cosmos_assert(known, "--mutate choices out of step with lint");
 
     MachineConfig cfg;
-    cfg.numNodes =
-        static_cast<NodeId>(args.haveNodes ? args.fuzzNodes : 2u);
+    cfg.numNodes = static_cast<NodeId>(*args.nodes);
     cfg.forwarding = args.forwarding;
     cfg.legacyForwarding = args.legacyForwarding;
-    cfg.ownerReadPolicy = args.policy;
-    cfg.cacheCapacityBlocks = args.lintCapacity;
+    cfg.ownerReadPolicy = args.ownerReadPolicy();
+    cfg.cacheCapacityBlocks = static_cast<unsigned>(args.capacity);
 
     proto::ProtocolTable table = proto::ProtocolTable::build(cfg);
     if (kind != lint::MutationKind::none) {
@@ -1014,12 +871,8 @@ cmdLint(const CliArgs &args)
         std::ofstream f(args.out);
         if (f)
             f << lint::renderJson(table, findings, kind);
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         args.out.c_str());
+        if (!written(static_cast<bool>(f), "lint report", args.out))
             return 2;
-        }
-        std::printf("lint report written to %s\n", args.out.c_str());
     }
     return findings.empty() ? 0 : 1;
 }
@@ -1033,12 +886,12 @@ cmdFuzz(const CliArgs &args)
     const check::FuzzOptions opts = makeFuzzOptions(args);
 
     check::FuzzReport report;
-    if (args.haveReplay) {
-        check::Failure f = check::replaySeed(args.replaySeed, opts);
+    if (args.replay) {
+        check::Failure f = check::replaySeed(*args.replay, opts);
         report.casesRun = 1;
         std::printf("replay seed %llu: %s (%llu messages "
                     "delivered)\n",
-                    static_cast<unsigned long long>(args.replaySeed),
+                    static_cast<unsigned long long>(*args.replay),
                     f.result.failed ? "FAILED" : "clean",
                     static_cast<unsigned long long>(
                         f.result.delivered));
@@ -1057,45 +910,189 @@ cmdFuzz(const CliArgs &args)
             printReplayHint(opts, f.result.seed);
     }
 
-    if (!args.out.empty()) {
-        if (check::writeReport(report, opts, args.out)) {
-            std::printf("fuzz report written to %s\n",
-                        args.out.c_str());
-        } else {
-            std::fprintf(stderr, "cannot write %s\n",
-                         args.out.c_str());
-            return 1;
-        }
-    }
+    if (!args.out.empty() &&
+        !written(check::writeReport(report, opts, args.out),
+                 "fuzz report", args.out))
+        return 1;
     return report.clean() ? 0 : 1;
 }
 
-int
-dispatch(const CliArgs &args)
+const Command commands[] = {
+    {"list", nullptr, cmd::list, cmdList},
+    {"run", "<kernel>", cmd::run, cmdRun},
+    {"run --trace-file", nullptr, cmd::run_trace, cmdRunTrace},
+    {"run --forge", nullptr, cmd::run_forge, cmdRunForge},
+    {"gen", nullptr, cmd::gen, cmdGen},
+    {"analyze", "<trace>", cmd::analyze, cmdAnalyze},
+    {"sweep", "<kernel>", cmd::sweep, cmdSweep},
+    {"accel", "<kernel>", cmd::accel, cmdAccel},
+    {"figures", "<kernel>", cmd::figures, cmdFigures},
+    {"census", "<kernel>", cmd::census, cmdCensus},
+    {"fuzz", nullptr, cmd::fuzz, cmdFuzz},
+    {"model", nullptr, cmd::model, cmdModel},
+    {"lint", nullptr, cmd::lint, cmdLint},
+};
+
+const Command *
+findCommand(const std::string &name)
 {
-    if (args.command == "list")
-        return cmdList();
-    if (args.command == "run")
-        return cmdRun(args);
-    if (args.command == "gen")
-        return cmdGen(args);
-    if (args.command == "analyze")
-        return cmdAnalyze(args);
-    if (args.command == "sweep")
-        return cmdSweep(args);
-    if (args.command == "accel")
-        return cmdAccel(args);
-    if (args.command == "figures")
-        return cmdFigures(args);
-    if (args.command == "census")
-        return cmdCensus(args);
-    if (args.command == "fuzz")
-        return cmdFuzz(args);
-    if (args.command == "model")
-        return cmdModel(args);
-    if (args.command == "lint")
-        return cmdLint(args);
-    usage();
+    for (const Command &c : commands)
+        if (name == c.name)
+            return &c;
+    return nullptr;
+}
+
+/** `--name META`, or `--name` for a switch. */
+std::string
+flagText(const Flag &f)
+{
+    return f.meta != nullptr ? std::string(f.name) + " " + f.meta : f.name;
+}
+
+/** @p line followed by @p items, wrapped at 78 columns onto lines
+ *  indented by @p indent. */
+std::string
+wrap(std::string line, const std::vector<std::string> &items,
+     std::size_t indent)
+{
+    std::string out;
+    for (const std::string &item : items) {
+        if (line.size() + 1 + item.size() > 78 && line.size() >= indent) {
+            out += line + "\n";
+            line.assign(indent - 1, ' ');
+        }
+        line += " " + item;
+    }
+    return out + line + "\n";
+}
+
+std::vector<std::string>
+words(const std::string &text)
+{
+    std::istringstream in(text);
+    std::vector<std::string> out;
+    for (std::string w; in >> w;)
+        out.push_back(w);
+    return out;
+}
+
+/** Print @p message, if any, and the command and flag reference from
+ *  the tables; exit 2. */
+[[noreturn]] void
+usage(const std::string &message)
+{
+    std::string text = message.empty() ? "" : message + "\n";
+    text += "usage: cosmos <command> [<target>] [flags]\n";
+    for (const Command &c : commands) {
+        // A `run` traffic source shows its flag's value in the name.
+        const char *mode = std::strchr(c.name, '-');
+        std::string line = std::string("  cosmos ") + c.name;
+        if (mode != nullptr)
+            line += std::string(" ") + findFlag(mode, c.bit)->meta;
+        std::vector<std::string> items;
+        if (c.target != nullptr)
+            items.push_back(c.target);
+        for (const Flag &f : flags) {
+            if ((f.commands & c.bit) != 0 && f.commands != cmd::all &&
+                (mode == nullptr || std::strcmp(f.name, mode) != 0))
+                items.push_back("[" + flagText(f) + "]");
+        }
+        text += wrap(line, items, 8);
+    }
+    text += "flags (integers are decimal or 0x hex):\n";
+    for (const Flag &f : flags) {
+        std::string scope;
+        for (const Command &c : commands)
+            if ((f.commands & c.bit) != 0)
+                scope += (scope.empty() ? "" : ", ") + std::string(c.name);
+        if (f.commands == cmd::all)
+            scope = "every command";
+        std::string range;
+        if (f.choices != nullptr) {
+            range = std::string("one of ") + f.choices;
+        } else if (f.range.hi != UINT64_MAX) {
+            range = rangeText(f);
+        }
+        if (f.def != nullptr)
+            range += (range.empty() ? "default " : "; default ") +
+                     std::string(f.def);
+        std::string help = scope + ": " + f.help;
+        if (!range.empty())
+            help += " (" + range + ")";
+        std::string head = "  " + flagText(f);
+        if (head.size() > 22) {
+            text += head + "\n";
+            head.clear();
+        }
+        head.resize(23, ' ');
+        text += wrap(head, words(help), 24);
+    }
+    std::fputs(text.c_str(), stderr);
+    std::exit(2);
+}
+
+CliArgs
+parse(int argc, char **argv)
+{
+    if (argc < 2)
+        usage();
+    // Split the words into the target and (flag, value) pairs; every
+    // row of one flag takes a value, or none does.
+    CliArgs args;
+    std::vector<std::pair<std::string, const char *>> given;
+    for (int i = 2; i < argc; ++i) {
+        const std::string word = argv[i];
+        if (word[0] != '-') {
+            if (!args.target.empty())
+                usage("unexpected argument '" + word + "'");
+            args.target = word;
+            continue;
+        }
+        const Flag *f = findFlag(word, cmd::all);
+        if (f == nullptr)
+            usage("unknown flag " + word);
+        const char *value = nullptr;
+        if (f->meta != nullptr) {
+            if (i + 1 >= argc)
+                usage(word + " needs a value");
+            value = argv[++i];
+        }
+        given.emplace_back(word, value);
+    }
+
+    // `run` without a kernel reads the traffic source that its first
+    // --trace-file or --forge names.
+    std::string name = argv[1];
+    if (args.target.empty()) {
+        for (const auto &[flag, value] : given) {
+            if (findCommand(name + " " + flag) != nullptr) {
+                name += " " + flag;
+                break;
+            }
+        }
+    }
+    args.command = findCommand(name);
+    if (args.command == nullptr)
+        usage("unknown command '" + name + "'");
+    const Command &c = *args.command;
+    const std::string where = "cosmos " + name + ": ";
+    if (c.target != nullptr && args.target.empty())
+        usage(where + "missing " + c.target);
+    if (c.target == nullptr && !args.target.empty())
+        usage(where + "unexpected argument '" + args.target + "'");
+
+    for (const Flag &f : flags)
+        if ((f.commands & c.bit) != 0 && f.def != nullptr)
+            store(args, f, f.def);
+    for (const auto &[flag, value] : given) {
+        const Flag *f = findFlag(flag, c.bit);
+        if (f == nullptr)
+            usage(where + flag + " is not used by this command");
+        store(args, *f, value);
+    }
+    if (args.legacyForwarding && !args.forwarding)
+        usage(where + "--legacy-forwarding needs --forwarding");
+    return args;
 }
 
 } // namespace
@@ -1106,7 +1103,7 @@ main(int argc, char **argv)
     const CliArgs args = parse(argc, argv);
     if (!args.traceOut.empty())
         obs::startTracing();
-    const int rc = dispatch(args);
+    const int rc = args.command->run(args);
     if (!args.traceOut.empty() && obs::writeTrace(args.traceOut))
         std::printf("trace events written to %s\n",
                     args.traceOut.c_str());
